@@ -10,12 +10,12 @@ use clado_core::{
     Algorithm, AssignOptions, CladoVariant, ExperimentContext, SensitivityOptions, ShardContext,
 };
 use clado_dist::{
-    run_pool_worker, run_worker, scheme_to_u8, Coordinator, CoordinatorOptions, JobSpec,
+    job_fingerprint, run_pool_worker, scheme_to_u8, Coordinator, CoordinatorOptions, JobSpec,
     WorkerOptions,
 };
 use clado_estim::{
-    assignment_regret, build_report, estimate_sensitivities, estimation_fingerprint, estimator_for,
-    EstimatorKind, EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
+    assignment_regret, build_report, estimate_sensitivities, estimator_for, EstimatorKind,
+    EstimatorOptions, DEFAULT_ESTIMATOR_SEED,
 };
 use clado_models::{pretrained, ModelKind};
 use clado_quant::{bits_to_mb, BitWidth, BitWidthSet, LayerSizes, QuantScheme};
@@ -70,12 +70,12 @@ COMMANDS:
                [--set-size 128] [--set-seed 0] [--bits 2,4,8]
                [--scheme symmetric|affine] [--threads N] [--no-prefix-cache]
                [--out <file.clsm>   persist the estimated Ω̂ (single estimator only)]
-  worker       --connect <addr>          join a distributed sensitivity sweep; the
-                                         coordinator sends the job spec and shards
+  worker       --connect <addr>          join a distributed sensitivity sweep or a
+                                         `clado serve` pool; the scheduler sends job
+                                         specs and shards, and repeat specs reuse
+                                         the warm model
                [--heartbeat-ms 500] [--connect-timeout-secs 10] [--verbose]
                [--connect-retries 5      capped-exponential-backoff connect attempts]
-               [--pool                   stay connected across jobs (for `clado serve`);
-                                         repeat job specs reuse the warm model]
   serve        run the quantization-planning daemon: bounded admission with
                typed shedding (overloaded / deadline-infeasible), an Ω result
                cache (repeat configs pay zero probes), pooled crash-resilient
@@ -569,12 +569,7 @@ fn cmd_sensitivity_distributed(
         bits: bits.iter().map(|b| b.bits()).collect(),
         scheme: scheme_to_u8(scheme),
         use_prefix_cache,
-        fingerprint: match estimator {
-            Some(est_kind) => {
-                estimation_fingerprint(&ctx, est_kind, probe_budget as usize, estimator_seed)
-            }
-            None => ctx.fingerprint(),
-        },
+        fingerprint: job_fingerprint(&ctx, estimator, probe_budget, estimator_seed),
         trace_id: run.telemetry.trace_id(),
         estimator: estimator.map_or(0, |k| k.tag()),
         probe_budget,
@@ -601,20 +596,9 @@ fn cmd_sensitivity_distributed(
     println!("coordinator listening on {addr}");
     std::io::stdout().flush()?;
 
-    let mut children = Vec::new();
-    for _ in 0..workers {
-        let mut cmd = std::process::Command::new(std::env::current_exe()?);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(addr.to_string())
-            .arg("--quiet")
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null());
-        if verbose {
-            cmd.arg("--verbose");
-        }
-        children.push(cmd.spawn()?);
-    }
+    let children = (0..workers)
+        .map(|_| worker_command(&addr.to_string(), verbose)?.spawn())
+        .collect::<std::io::Result<Vec<_>>>()?;
     let outcome = coordinator.run();
     // Reap the subprocess fleet whether the sweep succeeded or not.
     for mut child in children {
@@ -798,7 +782,7 @@ pub fn cmd_estimate(args: &Args) -> Result<(), Box<dyn Error>> {
     run.finish("estimate", &config)
 }
 
-/// `clado worker --connect <addr> [--pool]`
+/// `clado worker --connect <addr>`
 pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
     let run = RunContext::from_args(args)?;
     let addr: String = args.require("connect")?;
@@ -818,11 +802,7 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
         telemetry: run.telemetry.clone(),
         verbose: args.switch("verbose"),
     };
-    let report = if args.switch("pool") {
-        run_pool_worker(&addr, provider, &opts)?
-    } else {
-        run_worker(&addr, provider, &opts)?
-    };
+    let report = run_pool_worker(&addr, provider, &opts)?;
     println!(
         "worker finished: {} shards, {} probes, {:.1}s busy",
         report.shards, report.probes, report.seconds
@@ -831,7 +811,6 @@ pub fn cmd_worker(args: &Args) -> Result<(), Box<dyn Error>> {
         "worker",
         &[
             ("connect", addr.as_str().into()),
-            ("pool", args.switch("pool").into()),
             ("shards", report.shards.into()),
             ("probes", report.probes.into()),
             ("busy_seconds", report.seconds.into()),
@@ -898,21 +877,9 @@ pub fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         });
     }
 
-    let mut children = Vec::new();
-    for _ in 0..workers {
-        let mut cmd = std::process::Command::new(std::env::current_exe()?);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(worker_addr.to_string())
-            .arg("--pool")
-            .arg("--quiet")
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null());
-        if verbose {
-            cmd.arg("--verbose");
-        }
-        children.push(cmd.spawn()?);
-    }
+    let children = (0..workers)
+        .map(|_| worker_command(&worker_addr.to_string(), verbose)?.spawn())
+        .collect::<std::io::Result<Vec<_>>>()?;
 
     let outcome = server.run();
     // Reap the worker fleet whether the daemon drained cleanly or not.
@@ -1161,16 +1128,22 @@ fn spawn_chaos_daemon(
     })
 }
 
-/// Spawns one pooled worker pointed at a daemon's worker port.
-fn spawn_chaos_worker(worker_addr: &str) -> Result<std::process::Child, Box<dyn Error>> {
-    Ok(std::process::Command::new(std::env::current_exe()?)
-        .arg("worker")
-        .arg("--connect")
-        .arg(worker_addr)
-        .arg("--pool")
-        .arg("--quiet")
+/// A `clado worker` subprocess command pointed at `addr` — a one-shot
+/// coordinator or a daemon's worker port.
+fn worker_command(addr: &str, verbose: bool) -> std::io::Result<std::process::Command> {
+    let mut cmd = std::process::Command::new(std::env::current_exe()?);
+    cmd.args(["worker", "--connect", addr, "--quiet"])
         .stdin(std::process::Stdio::null())
-        .stdout(std::process::Stdio::null())
+        .stdout(std::process::Stdio::null());
+    if verbose {
+        cmd.arg("--verbose");
+    }
+    Ok(cmd)
+}
+
+/// Spawns one silent worker pointed at a daemon's worker port.
+fn spawn_chaos_worker(worker_addr: &str) -> Result<std::process::Child, Box<dyn Error>> {
+    Ok(worker_command(worker_addr, false)?
         .stderr(std::process::Stdio::null())
         .spawn()?)
 }

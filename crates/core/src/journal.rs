@@ -33,10 +33,10 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
-use clado_telemetry::faultpoint;
+use clado_telemetry::{faultpoint, fnv1a, write_durable};
 
 const MAGIC: &[u8; 4] = b"CLSJ";
 const VERSION: u32 = 1;
@@ -135,25 +135,11 @@ fn io_at(path: &Path, e: io::Error) -> JournalError {
     JournalError::Io(io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// FNV-1a offset basis — the seed for [`fingerprint`] and checksums.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Hashes a measurement configuration into the journal fingerprint.
+/// Hashes a measurement configuration into the journal fingerprint:
+/// FNV-1a over the fields' little-endian bytes.
 pub fn fingerprint(fields: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for f in fields {
-        h = fnv1a(h, &f.to_le_bytes());
-    }
-    h
+    let bytes: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
+    fnv1a(&bytes)
 }
 
 fn encode_record(rec: &ProbeRecord, out: &mut Vec<u8>) {
@@ -293,7 +279,7 @@ fn parse_shard(bytes: &[u8], expected_fingerprint: u64) -> Result<Vec<ProbeRecor
         return Err(ShardDefect::Corrupt);
     }
     let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    if fnv1a(FNV_OFFSET, &bytes[..body_end]) != stored {
+    if fnv1a(&bytes[..body_end]) != stored {
         return Err(ShardDefect::Corrupt);
     }
     // Only a checksum-valid shard may veto the fingerprint: a shard whose
@@ -370,9 +356,6 @@ impl JournalWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        // Simulates a hard kill *before* the shard becomes visible: only
-        // a .tmp file (ignored by loaders) may be left behind.
-        faultpoint!("journal.commit");
         let mut buf = Vec::with_capacity(HEADER_BYTES + self.pending.len() * RECORD_BYTES + 8);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -381,21 +364,13 @@ impl JournalWriter {
         for rec in &self.pending {
             encode_record(rec, &mut buf);
         }
-        let checksum = fnv1a(FNV_OFFSET, &buf);
+        let checksum = fnv1a(&buf);
         buf.extend_from_slice(&checksum.to_le_bytes());
 
         let final_path = self.dir.join(format!("journal-{:06}.clsj", self.next_seq));
-        let tmp = final_path.with_extension("clsj.tmp");
-        let mut file = fs::File::create(&tmp).map_err(|e| io_at(&tmp, e))?;
-        file.write_all(&buf).map_err(|e| io_at(&tmp, e))?;
-        file.sync_all().map_err(|e| io_at(&tmp, e))?;
-        drop(file);
-        fs::rename(&tmp, &final_path).map_err(|e| io_at(&final_path, e))?;
-        // The rename itself must be durable before we count the records
-        // as checkpointed.
-        if let Ok(d) = fs::File::open(&self.dir) {
-            d.sync_all().ok();
-        }
+        // `journal.commit` simulates a hard kill *before* the shard
+        // becomes visible: only a .tmp file (ignored by loaders) is left.
+        write_durable(&final_path, &buf, "journal.commit").map_err(|e| io_at(&final_path, e))?;
         // Simulates a hard kill *after* the shard became durable.
         faultpoint!("journal.committed");
         self.next_seq += 1;

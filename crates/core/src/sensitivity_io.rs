@@ -20,7 +20,7 @@ use clado_quant::BitWidthSet;
 use clado_solver::SymMatrix;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"CLSM";
@@ -113,7 +113,9 @@ pub fn sensitivities_to_bytes(sens: &SensitivityMatrix) -> Vec<u8> {
     buf
 }
 
-/// Serializes a measured sensitivity matrix to `path`.
+/// Serializes a measured sensitivity matrix to `path`, crash-safely:
+/// after a crash the file holds the previous matrix or the new one,
+/// never a truncated image.
 ///
 /// # Errors
 ///
@@ -122,10 +124,7 @@ pub fn save_sensitivities(sens: &SensitivityMatrix, path: &Path) -> Result<(), S
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let buf = sensitivities_to_bytes(sens);
-    let tmp = path.with_extension("tmp");
-    fs::File::create(&tmp)?.write_all(&buf)?;
-    fs::rename(&tmp, path)?;
+    clado_telemetry::write_durable(path, &sensitivities_to_bytes(sens), "clsm.commit")?;
     Ok(())
 }
 

@@ -1,51 +1,41 @@
-//! The sweep coordinator: leases shards to workers over TCP, evicts
-//! dead or hung leases, journals completed shards, and assembles Ω.
+//! The one-shot sweep coordinator (`clado measure --workers/--listen`):
+//! a [`WorkerPool`] that runs one job and then shuts down.
 //!
-//! # Lease/heartbeat state machine
+//! Leasing, heartbeats, eviction, retries and fingerprint rejection all
+//! live in the shard scheduler ([`WorkerPool`]). This wrapper keeps
+//! only what a one-shot sweep adds on top:
 //!
-//! Each accepted connection gets its own thread with a read timeout of
-//! [`CoordinatorOptions::heartbeat_timeout`]. *Any* frame from the
-//! worker resets the deadline; workers send `Heartbeat` from a side
-//! thread while the main thread evaluates, so a healthy worker on an
-//! arbitrarily slow shard never times out. A read timeout, a closed
-//! socket, or a malformed frame all end the connection the same way:
-//! every lease held by that worker is requeued at the *front* of the
-//! pending queue (so reassignment is prompt) and the eviction is
-//! counted. A shard is only marked complete when its `ShardDone` frame
-//! arrives and its records are committed to the CLSJ journal, so
-//! leases can be evicted and reassigned any number of times without
-//! losing or double-counting work.
-//!
-//! # Crash safety
-//!
-//! Completed shards flow through the same atomic CLSJ commit path the
-//! in-process engine uses (write-tmp → fsync → rename → fsync-dir), one
-//! commit per shard. A SIGKILLed coordinator therefore leaves a journal
-//! a later `--resume` run loads losslessly — whether that run is
-//! distributed again or a plain single-process `measure_sensitivities`.
+//! * **Crash safety.** The CLSJ journal is loaded (or refused) like the
+//!   in-process engine does, shards it already holds are not leased,
+//!   and each newly integrated shard is committed through the same
+//!   atomic CLSJ path (write-tmp → fsync → rename → fsync-dir) from the
+//!   scheduler's shard hook. A SIGKILLed coordinator therefore leaves a
+//!   journal a later `--resume` run loads losslessly — whether that run
+//!   is distributed again or a plain single-process
+//!   `measure_sensitivities`. A failed commit ends the sweep as
+//!   [`DistError::Journal`].
+//! * **Idle timeout.** With no live worker for
+//!   [`CoordinatorOptions::idle_timeout`], the job is canceled and the
+//!   sweep fails with [`DistError::NoWorkers`].
+//! * **Assembly and accounting.** Ω is assembled in canonical probe
+//!   order — bitwise identical to a single-process run — and per-worker
+//!   accounting and fleet gauges are reported.
 
 use crate::error::DistError;
-use crate::frame::FrameError;
-use crate::protocol::{self, JobSpec, Message};
+use crate::omega::{assemble_omega, grid_estimator, job_fingerprint};
+use crate::pool::{JobFailure, PoolOptions, WorkerPool, WorkerSummary};
+use crate::protocol::JobSpec;
 use clado_core::journal::load_journal;
 use clado_core::{
-    JournalError, JournalWriter, OmegaProvenance, ProbeId, ProbeRecord, SensitivityMatrix,
-    SensitivityStats, ShardContext, ShardRunStats, ShardSpec,
+    JournalError, JournalWriter, ProbeId, ProbeRecord, SensitivityMatrix, SensitivityStats,
+    ShardContext, ShardSpec,
 };
-use clado_estim::{
-    complete_partial, estimation_fingerprint, resolved_probe_budget, EstimatorKind,
-    DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK,
-};
-use clado_telemetry::{ManifestValue, Telemetry, TraceEvent};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use clado_telemetry::Telemetry;
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-/// Milliseconds a worker is told to wait when no shard is leasable.
-const IDLE_RETRY_MS: u32 = 50;
 
 /// Options controlling a coordinator run.
 #[derive(Debug, Clone)]
@@ -79,21 +69,6 @@ impl Default for CoordinatorOptions {
     }
 }
 
-/// Per-worker accounting, reported in the outcome and the run manifest.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkerSummary {
-    /// Coordinator-assigned worker id (connection order).
-    pub id: u64,
-    /// The worker's OS process id from its `Hello`.
-    pub pid: u32,
-    /// Shards this worker completed.
-    pub shards: u64,
-    /// Probe records this worker contributed.
-    pub probes: u64,
-    /// Busy time: summed shard-evaluation wall time.
-    pub seconds: f64,
-}
-
 /// The result of a completed distributed sweep.
 #[derive(Debug, Clone)]
 pub struct DistOutcome {
@@ -117,68 +92,13 @@ pub struct DistOutcome {
     pub straggler_seconds: f64,
 }
 
-#[derive(Default)]
-struct AggStats {
-    full_evals: u64,
-    cache_hits: u64,
-    cache_builds: u64,
-    retried: u64,
-}
-
-struct Scheduler {
-    pending: VecDeque<ShardSpec>,
-    leases: HashMap<u64, (ShardSpec, u64)>, // lease id → (shard, worker id)
-    next_lease: u64,
-    next_span_id: u64,
-    /// When the first shard lease was granted (run start → this is the
-    /// fleet spin-up / handshake phase; this → end is steady state).
-    first_lease_at: Option<Instant>,
-    done: HashSet<ShardSpec>,
-    total_shards: usize,
-    records: HashMap<ProbeId, ProbeRecord>,
-    writer: Option<JournalWriter>,
-    fatal: Option<DistError>,
-    evictions: u64,
-    rejected: u64,
-    protocol_errors: u64,
-    connected: usize,
-    workers: BTreeMap<u64, WorkerSummary>,
-    agg: AggStats,
-}
-
-impl Scheduler {
-    fn complete(&self) -> bool {
-        self.fatal.is_some() || self.done.len() == self.total_shards
-    }
-
-    /// Requeues every lease held by `worker` (front of the queue, so a
-    /// reassignment happens before fresh work).
-    fn evict_worker(&mut self, worker: u64) -> u64 {
-        let held: Vec<u64> = self
-            .leases
-            .iter()
-            .filter(|(_, (_, w))| *w == worker)
-            .map(|(&l, _)| l)
-            .collect();
-        for lease in &held {
-            if let Some((shard, _)) = self.leases.remove(lease) {
-                if !self.done.contains(&shard) {
-                    self.pending.push_front(shard);
-                }
-                self.evictions += 1;
-            }
-        }
-        held.len() as u64
-    }
-}
-
 /// A sensitivity-sweep coordinator bound to a TCP address.
 ///
 /// Construct with [`Coordinator::bind`], learn the bound address via
 /// [`Coordinator::local_addr`] (to hand to workers), then
 /// [`Coordinator::run`] to drive the sweep to completion.
 pub struct Coordinator {
-    listener: TcpListener,
+    pool: WorkerPool,
     ctx: ShardContext,
     job: JobSpec,
     opts: CoordinatorOptions,
@@ -186,7 +106,8 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Binds the coordinator socket. Use address `127.0.0.1:0` to let
-    /// the OS pick a free port.
+    /// the OS pick a free port. Workers are accepted once [`Self::run`]
+    /// starts.
     ///
     /// # Errors
     ///
@@ -197,9 +118,17 @@ impl Coordinator {
         job: JobSpec,
         opts: CoordinatorOptions,
     ) -> Result<Self, DistError> {
-        let listener = TcpListener::bind(addr).map_err(DistError::Io)?;
+        let pool_opts = PoolOptions {
+            heartbeat_timeout: opts.heartbeat_timeout,
+            telemetry: opts.telemetry.clone(),
+            verbose: opts.verbose,
+            ..PoolOptions::default()
+        };
+        let pool = TcpListener::bind(addr)
+            .and_then(|listener| WorkerPool::new(listener, pool_opts, "dist"))
+            .map_err(DistError::Io)?;
         Ok(Self {
-            listener,
+            pool,
             ctx,
             job,
             opts,
@@ -207,27 +136,23 @@ impl Coordinator {
     }
 
     /// The address workers should connect to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket has no local address (cannot happen for a
-    /// successfully bound listener).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
+        self.pool.worker_addr()
     }
 
-    /// Drives the sweep: accepts workers, leases shards, journals
-    /// completions, and assembles the final matrix once every shard is
-    /// done. Returns when the sweep completes or fails.
+    /// Drives the sweep: leases the shards the journal does not hold to
+    /// workers, journals completions, and assembles the final matrix
+    /// once every shard is done. Returns when the sweep completes or
+    /// fails.
     ///
     /// # Errors
     ///
+    /// [`DistError::BadJob`] for an estimator that cannot be sharded,
     /// [`DistError::Journal`] for checkpoint failures (completed shards
-    /// stay on disk), [`DistError::Measure`] for assembly failures, and
-    /// [`DistError::NoWorkers`] when the idle timeout expires with work
-    /// remaining.
+    /// stay on disk), [`DistError::Measure`] for assembly failures,
+    /// [`DistError::WorkerRetriesExhausted`] when a shard kept killing
+    /// the workers that leased it, and [`DistError::NoWorkers`] when the
+    /// idle timeout expires with work remaining.
     pub fn run(self) -> Result<DistOutcome, DistError> {
         let start = Instant::now();
         let telemetry = self.opts.telemetry.clone();
@@ -238,212 +163,111 @@ impl Coordinator {
             telemetry.set_trace_enabled(true);
         }
         let _root = telemetry.span("dist.coordinate");
-        // Estimation jobs resolve their estimator once; the journal and
-        // the worker handshake both key on the estimator fingerprint
-        // (configuration ⊕ kind ⊕ resolved budget ⊕ seed), so an
-        // estimation sweep can never mix records with an exact one or
-        // with another estimator's.
-        let estimator = match self.job.estimator {
-            0 => None,
-            tag => match EstimatorKind::from_tag(tag) {
-                Some(EstimatorKind::Hutchinson) => {
-                    return Err(DistError::BadJob(
-                        "hutchinson estimation is diagonal-only and not grid-shardable; \
-                         run it single-process"
-                            .into(),
-                    ))
-                }
-                Some(kind) => Some(kind),
-                None => return Err(DistError::BadJob(format!("unknown estimator tag {tag}"))),
-            },
-        };
-        let fp = match estimator {
-            Some(kind) => estimation_fingerprint(
-                &self.ctx,
-                kind,
-                self.job.probe_budget as usize,
-                self.job.estimator_seed,
-            ),
-            None => self.ctx.fingerprint(),
-        };
+        let estimator = grid_estimator(self.job.estimator).map_err(DistError::BadJob)?;
+        let fp = job_fingerprint(
+            &self.ctx,
+            estimator,
+            self.job.probe_budget,
+            self.job.estimator_seed,
+        );
 
         // Load (or refuse) the checkpoint journal exactly like the
         // in-process engine: same fingerprint, same not-empty guard.
         let mut records: HashMap<ProbeId, ProbeRecord> = HashMap::new();
         let mut writer = None;
-        let mut resumed = 0usize;
         if let Some(dir) = &self.opts.checkpoint_dir {
             let state = load_journal(dir, fp)?;
             if !self.opts.resume && (state.shards + state.corrupt_shards) > 0 {
                 return Err(JournalError::NotEmpty { dir: dir.clone() }.into());
             }
             if self.opts.resume {
-                resumed = state.records.len();
                 records = state.records;
             }
             writer = Some(JournalWriter::open(dir, fp, state.next_seq)?);
         }
+        let resumed = records.len();
 
         let shards = self.ctx.shards();
         let total_shards = shards.len();
-        let mut pending = VecDeque::new();
-        let mut done = HashSet::new();
-        for shard in shards {
-            // In estimation mode a pair shard only carries its selected
-            // probes, so resume completeness is "any record present":
-            // CLSJ shard commits are atomic (a corrupt shard is dropped
-            // wholly) and workers ship each shard's whole selection in
-            // one ShardDone. A pair shard whose selection was empty is
-            // simply re-leased — workers return it instantly.
-            let complete = match (estimator, shard) {
-                (Some(_), ShardSpec::Pair { outer }) => records
-                    .keys()
-                    .any(|id| matches!(id, ProbeId::Pair { layer_i, .. } if *layer_i == outer)),
-                _ => self
-                    .ctx
-                    .shard_probes(shard)
-                    .iter()
-                    .all(|id| records.contains_key(id)),
-            };
-            if complete {
-                done.insert(shard);
-            } else {
-                pending.push_back(shard);
-            }
-        }
+        // In estimation mode a pair shard only carries its selected
+        // probes, so resume completeness is "any record present": CLSJ
+        // shard commits are atomic (a corrupt shard is dropped wholly)
+        // and workers ship each shard's whole selection in one
+        // ShardDone. A pair shard whose selection was empty is simply
+        // re-leased — workers return it instantly.
+        let complete = |shard: &ShardSpec| match (estimator, *shard) {
+            (Some(_), ShardSpec::Pair { outer }) => records
+                .keys()
+                .any(|id| matches!(id, ProbeId::Pair { layer_i, .. } if *layer_i == outer)),
+            _ => self
+                .ctx
+                .shard_probes(*shard)
+                .iter()
+                .all(|id| records.contains_key(id)),
+        };
+        let pending: Vec<ShardSpec> = shards.into_iter().filter(|s| !complete(s)).collect();
         if self.opts.verbose {
             eprintln!(
                 "dist: {} shards ({} resumed complete), {} journaled probes",
                 total_shards,
-                done.len(),
+                total_shards - pending.len(),
                 resumed
             );
         }
         telemetry.counter("dist.resumed_probes").add(resumed as u64);
 
-        let sched = Mutex::new(Scheduler {
-            pending,
-            leases: HashMap::new(),
-            next_lease: 1,
-            next_span_id: 1,
-            first_lease_at: None,
-            done,
-            total_shards,
-            records,
-            writer,
-            fatal: None,
-            evictions: 0,
-            rejected: 0,
-            protocol_errors: 0,
-            connected: 0,
-            workers: BTreeMap::new(),
-            agg: AggStats::default(),
-        });
-
-        self.listener.set_nonblocking(true).map_err(DistError::Io)?;
-        std::thread::scope(|scope| {
-            let mut next_worker = 0u64;
-            let mut idle_since = Instant::now();
-            loop {
-                {
-                    let g = sched.lock().expect("scheduler lock");
-                    if g.complete() {
-                        break;
-                    }
-                    if g.connected > 0 {
-                        idle_since = Instant::now();
-                    }
-                }
-                if let Some(limit) = self.opts.idle_timeout {
-                    if idle_since.elapsed() > limit {
-                        sched.lock().expect("scheduler lock").fatal =
-                            Some(DistError::NoWorkers { waited: limit });
-                        break;
-                    }
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let id = next_worker;
-                        next_worker += 1;
-                        let sched = &sched;
-                        let job = &self.job;
-                        let telemetry = telemetry.clone();
-                        let hb = self.opts.heartbeat_timeout;
-                        let verbose = self.opts.verbose;
-                        scope.spawn(move || {
-                            serve_worker(stream, id, sched, job, fp, hb, telemetry, verbose);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => {
-                        sched.lock().expect("scheduler lock").fatal = Some(DistError::Io(e));
-                        break;
-                    }
-                }
-            }
-            // A worker that connected while the last shard was finishing
-            // can still sit un-accepted in the listener backlog; dropping
-            // the listener would reset it mid-handshake. Accept whatever
-            // is queued so each such worker gets a handshake and a
-            // graceful Shutdown at its first lease request.
-            if sched.lock().expect("scheduler lock").fatal.is_none() {
-                while let Ok((stream, _peer)) = self.listener.accept() {
-                    let id = next_worker;
-                    next_worker += 1;
-                    let sched = &sched;
-                    let job = &self.job;
-                    let telemetry = telemetry.clone();
-                    let hb = self.opts.heartbeat_timeout;
-                    let verbose = self.opts.verbose;
-                    scope.spawn(move || {
-                        serve_worker(stream, id, sched, job, fp, hb, telemetry, verbose);
-                    });
-                }
-            }
-            // Connection threads drain on their own: idle workers get a
-            // Shutdown at their next lease request; silent ones hit the
-            // heartbeat deadline. The scope joins them all.
-        });
-
-        let mut g = sched.into_inner().expect("scheduler mutex");
-        if let Some(e) = g.fatal.take() {
-            return Err(e);
-        }
-        // Estimation sweeps assemble the partial grid and complete it
-        // exactly like the single-process path (same kind, ALS
-        // defaults, and seed), so the distributed estimate is bitwise
-        // identical to `clado_estim::estimate_sensitivities`.
-        let (matrix, base_loss, quarantined) = match estimator {
-            Some(kind) => {
-                let assembly = self.ctx.assemble_partial(&g.records)?;
-                let completed = complete_partial(
-                    kind,
-                    &assembly.g,
-                    &assembly.observed,
-                    DEFAULT_ALS_RANK,
-                    DEFAULT_ALS_ITERS,
-                    self.job.estimator_seed,
-                );
-                (completed, assembly.base_loss, assembly.quarantined)
-            }
-            None => self.ctx.assemble(&g.records)?,
+        let pool = &self.pool;
+        let spec = JobSpec {
+            fingerprint: fp,
+            ..self.job.clone()
         };
-        let workers: Vec<WorkerSummary> = g.workers.into_values().collect();
+        // One journal shard per integrated shard; records the journal
+        // already held are never appended twice.
+        let probes = telemetry.counter("dist.probes");
+        let commit = |shard: &[ProbeRecord]| -> Result<(), JournalError> {
+            let fresh: Vec<&ProbeRecord> = shard
+                .iter()
+                .filter(|r| !records.contains_key(&r.id))
+                .collect();
+            probes.add(fresh.len() as u64);
+            match writer.as_mut() {
+                Some(w) => {
+                    fresh.into_iter().for_each(|r| w.append(*r));
+                    w.commit()
+                }
+                None => Ok(()),
+            }
+        };
+        let cancel = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let result = std::thread::scope(|scope| {
+            if let Some(limit) = self.opts.idle_timeout {
+                let (cancel, finished) = (&cancel, &finished);
+                scope.spawn(move || cancel_when_idle(pool, limit, cancel, finished));
+            }
+            let result = pool.run_job(spec, pending, &cancel, None, None, commit);
+            finished.store(true, Ordering::SeqCst);
+            result
+        });
+        pool.shutdown();
+        let outcome = result.map_err(|failure| match failure {
+            JobFailure::Hook(e) => DistError::Journal(e),
+            JobFailure::WorkerRetriesExhausted(detail) => DistError::WorkerRetriesExhausted(detail),
+            JobFailure::Canceled | JobFailure::DeadlineExceeded => DistError::NoWorkers {
+                waited: self.opts.idle_timeout.unwrap_or_default(),
+            },
+        })?;
+        records.extend(outcome.records);
+
+        let workers = outcome.workers;
         let straggler_seconds = workers.iter().map(|w| w.seconds).fold(0.0f64, f64::max);
-        telemetry.counter("dist.evictions").add(g.evictions);
-        telemetry.counter("dist.rejected_workers").add(g.rejected);
-        telemetry
-            .counter("dist.protocol_errors")
-            .add(g.protocol_errors);
         telemetry.set_gauge("dist.straggler_seconds", straggler_seconds);
         // Split wall time into fleet spin-up (bind → first lease grant,
         // dominated by connects, handshakes, and worker model builds)
         // vs. steady-state shard service, so operators do not read
         // startup cost as a sharding regression.
         let total_seconds = start.elapsed().as_secs_f64();
-        let startup_seconds = g
+        let startup_seconds = outcome
             .first_lease_at
             .map(|t| t.duration_since(start).as_secs_f64())
             .unwrap_or(total_seconds);
@@ -458,372 +282,51 @@ impl Coordinator {
             telemetry.set_gauge(&format!("dist.worker.{}.busy_seconds", w.id), w.seconds);
         }
         let stats = SensitivityStats {
-            evaluations: (g.agg.full_evals + g.agg.cache_hits) as usize,
-            seconds: start.elapsed().as_secs_f64(),
+            evaluations: (outcome.full_evals + outcome.cache_hits) as usize,
+            seconds: total_seconds,
             threads_used: workers.len().max(1),
-            prefix_cache_builds: g.agg.cache_builds as usize,
-            prefix_cache_hits: g.agg.cache_hits as usize,
-            full_evals: g.agg.full_evals as usize,
+            prefix_cache_builds: outcome.cache_builds as usize,
+            prefix_cache_hits: outcome.cache_hits as usize,
+            full_evals: outcome.full_evals as usize,
             resumed,
-            retried: g.agg.retried as usize,
-            quarantined,
-            provenance: match estimator {
-                Some(kind) => OmegaProvenance::estimated(
-                    kind.tag(),
-                    resolved_probe_budget(&self.ctx, self.job.probe_budget as usize) as u64,
-                    self.job.estimator_seed,
-                ),
-                None => OmegaProvenance::exact(),
-            },
+            retried: outcome.retried as usize,
+            ..SensitivityStats::default()
         };
-        let matrix = SensitivityMatrix::from_parts(
-            matrix,
-            self.ctx.num_layers(),
-            self.ctx.bits().clone(),
-            base_loss,
+        let matrix = assemble_omega(
+            &self.ctx,
+            estimator,
+            self.job.probe_budget,
+            self.job.estimator_seed,
+            &records,
             stats,
-        );
+        )?;
         Ok(DistOutcome {
             matrix,
             workers,
-            evictions: g.evictions,
-            rejected: g.rejected,
+            evictions: outcome.evictions,
+            rejected: pool.rejected_workers(),
             resumed,
             straggler_seconds,
         })
     }
 }
 
-/// Runs the handshake: `Hello` → `Job` → `Ready`, rejecting version and
-/// fingerprint mismatches. Returns the worker's pid and the worker's
-/// trace clock at `Ready` (for re-basing shipped trace events).
-fn handshake(
-    stream: &mut &TcpStream,
-    job: &JobSpec,
-    fp: u64,
-) -> Result<(u32, u64), (FrameError, bool)> {
-    let pid = match protocol::recv(stream) {
-        Ok(Message::Hello { protocol, pid }) => {
-            if protocol != crate::frame::PROTOCOL_VERSION {
-                let _ = protocol::send(
-                    stream,
-                    &Message::Reject {
-                        reason: format!(
-                            "protocol version {protocol} unsupported (want {})",
-                            crate::frame::PROTOCOL_VERSION
-                        ),
-                    },
-                );
-                return Err((FrameError::UnsupportedVersion(protocol), true));
-            }
-            pid
-        }
-        Ok(_) => return Err((FrameError::Malformed("expected Hello".into()), false)),
-        Err(e) => return Err((e, false)),
-    };
-    if let Err(e) = protocol::send(stream, &Message::Job(job.clone())) {
-        return Err((e, false));
-    }
-    // Workers heartbeat while reconstructing the job (model loading can
-    // be slow), so liveness frames are expected before Ready.
-    let ready = loop {
-        match protocol::recv(stream) {
-            Ok(Message::Heartbeat { .. }) => {}
-            other => break other,
-        }
-    };
-    match ready {
-        Ok(Message::Ready {
-            fingerprint,
-            clock_us,
-        }) if fingerprint == fp => Ok((pid, clock_us)),
-        Ok(Message::Ready { fingerprint, .. }) => {
-            let _ = protocol::send(
-                stream,
-                &Message::Reject {
-                    reason: format!(
-                        "config fingerprint mismatch (worker {fingerprint:#018x}, \
-                         coordinator {fp:#018x})"
-                    ),
-                },
-            );
-            Err((
-                FrameError::Malformed("worker fingerprint mismatch".into()),
-                true,
-            ))
-        }
-        Ok(_) => Err((FrameError::Malformed("expected Ready".into()), false)),
-        Err(e) => Err((e, false)),
-    }
-}
-
-/// Serves one worker connection to completion. Never panics on worker
-/// input; every exit path evicts whatever the worker still held.
-#[allow(clippy::too_many_arguments)]
-fn serve_worker(
-    stream: TcpStream,
-    id: u64,
-    sched: &Mutex<Scheduler>,
-    job: &JobSpec,
-    fp: u64,
-    heartbeat_timeout: Duration,
-    telemetry: Telemetry,
-    verbose: bool,
+/// Raises `cancel` once the pool has had no live worker for `limit`;
+/// returns when the job finishes first.
+fn cancel_when_idle(
+    pool: &WorkerPool,
+    limit: Duration,
+    cancel: &AtomicBool,
+    finished: &AtomicBool,
 ) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(heartbeat_timeout));
-    // Both directions are bounded during the handshake so a peer that
-    // connects but never sends (or never drains) a frame cannot pin
-    // this thread; the expired wait surfaces as the typed
-    // `HandshakeTimeout` rather than a silent disconnect.
-    let _ = stream.set_write_timeout(Some(heartbeat_timeout));
-    let mut stream_ref = &stream;
-    let (pid, worker_clock_us) = {
-        let _s = telemetry.span("dist.handshake");
-        match handshake(&mut stream_ref, job, fp) {
-            Ok(done) => done,
-            Err((err, was_reject)) => {
-                let err = err.or_handshake_timeout();
-                let mut g = sched.lock().expect("scheduler lock");
-                if was_reject {
-                    g.rejected += 1;
-                } else if matches!(err, FrameError::HandshakeTimeout) {
-                    telemetry.counter("dist.handshake_timeouts").incr();
-                } else if !err.is_disconnect() {
-                    g.protocol_errors += 1;
-                }
-                if verbose {
-                    eprintln!("dist: worker {id} failed handshake: {err}");
-                }
-                return;
-            }
-        }
-    };
-    // Post-handshake writes (leases, shutdowns) go back to blocking:
-    // slow-reading workers are policed by the heartbeat deadline.
-    let _ = stream.set_write_timeout(None);
-    {
-        let mut g = sched.lock().expect("scheduler lock");
-        g.connected += 1;
-        g.workers.insert(
-            id,
-            WorkerSummary {
-                id,
-                pid,
-                shards: 0,
-                probes: 0,
-                seconds: 0.0,
-            },
-        );
-    }
-    telemetry.counter("dist.workers_connected").incr();
-    // Per-worker clock offset: the worker reports its trace clock at
-    // Ready; adding this offset re-bases its event timestamps onto the
-    // coordinator's timeline (network latency errs the offset late by
-    // at most one frame round-trip).
-    let clock_offset_us = telemetry.now_us() as i64 - worker_clock_us as i64;
-    telemetry.set_process_label(pid, &format!("worker-{id}"));
-    if verbose {
-        eprintln!("dist: worker {id} (pid {pid}) connected");
-    }
-
-    loop {
-        match protocol::recv(&mut stream_ref) {
-            Ok(Message::LeaseRequest) => {
-                let reply = {
-                    let mut g = sched.lock().expect("scheduler lock");
-                    if g.complete() {
-                        Message::Shutdown
-                    } else if let Some(shard) = g.pending.pop_front() {
-                        let lease = g.next_lease;
-                        g.next_lease += 1;
-                        let span_id = if telemetry.trace_enabled() {
-                            let s = g.next_span_id;
-                            g.next_span_id += 1;
-                            s
-                        } else {
-                            0
-                        };
-                        g.leases.insert(lease, (shard, id));
-                        if g.first_lease_at.is_none() {
-                            g.first_lease_at = Some(Instant::now());
-                        }
-                        Message::Lease {
-                            lease,
-                            span_id,
-                            shard,
-                        }
-                    } else {
-                        Message::Idle {
-                            retry_ms: IDLE_RETRY_MS,
-                        }
-                    }
-                };
-                if let Message::Lease {
-                    lease,
-                    span_id,
-                    shard,
-                } = &reply
-                {
-                    telemetry.instant(
-                        "dist.lease_grant",
-                        &[
-                            ("worker", ManifestValue::Int(id as i64)),
-                            ("lease", ManifestValue::Int(*lease as i64)),
-                            ("span_id", ManifestValue::Int(*span_id as i64)),
-                            ("shard", ManifestValue::Str(shard.to_string())),
-                        ],
-                    );
-                }
-                let is_shutdown = matches!(reply, Message::Shutdown);
-                if protocol::send(&mut stream_ref, &reply).is_err() || is_shutdown {
-                    break;
-                }
-            }
-            Ok(Message::Heartbeat { lease }) => {
-                telemetry.instant(
-                    "dist.heartbeat",
-                    &[
-                        ("worker", ManifestValue::Int(id as i64)),
-                        ("lease", ManifestValue::Int(lease as i64)),
-                    ],
-                );
-            }
-            Ok(Message::ShardDone {
-                lease,
-                shard,
-                records,
-                stats,
-                events,
-            }) => {
-                ingest_worker_events(&telemetry, events, pid, clock_offset_us);
-                telemetry.instant(
-                    "dist.shard_done",
-                    &[
-                        ("worker", ManifestValue::Int(id as i64)),
-                        ("lease", ManifestValue::Int(lease as i64)),
-                        ("shard", ManifestValue::Str(shard.to_string())),
-                        ("probes", ManifestValue::Int(records.len() as i64)),
-                    ],
-                );
-                let mut g = sched.lock().expect("scheduler lock");
-                handle_done(&mut g, id, lease, shard, &records, &stats, &telemetry);
-                if verbose {
-                    eprintln!(
-                        "dist: worker {id} finished {shard} ({}/{} shards)",
-                        g.done.len(),
-                        g.total_shards
-                    );
-                }
-            }
-            Ok(other) => {
-                // Protocol violation: drop the connection, requeue.
-                let mut g = sched.lock().expect("scheduler lock");
-                g.protocol_errors += 1;
-                if verbose {
-                    eprintln!(
-                        "dist: worker {id} sent unexpected {:?}; dropping connection",
-                        other.kind()
-                    );
-                }
-                break;
-            }
-            Err(e) => {
-                if !e.is_disconnect() {
-                    let mut g = sched.lock().expect("scheduler lock");
-                    g.protocol_errors += 1;
-                }
-                if verbose {
-                    eprintln!("dist: worker {id} connection ended: {e}");
-                }
-                break;
-            }
-        }
-    }
-
-    let mut g = sched.lock().expect("scheduler lock");
-    g.connected -= 1;
-    let evicted = g.evict_worker(id);
-    drop(g);
-    if evicted > 0 {
-        telemetry.counter("dist.lease_evictions").add(evicted);
-        telemetry.instant(
-            "dist.eviction",
-            &[
-                ("worker", ManifestValue::Int(id as i64)),
-                ("requeued", ManifestValue::Int(evicted as i64)),
-            ],
-        );
-        if verbose {
-            eprintln!("dist: worker {id} lost; requeued {evicted} leased shard(s)");
-        }
-    }
-}
-
-/// Re-bases worker trace events onto the coordinator's clock, stamps
-/// the originating pid, and merges them into the coordinator's buffer.
-fn ingest_worker_events(
-    telemetry: &Telemetry,
-    mut events: Vec<TraceEvent>,
-    pid: u32,
-    clock_offset_us: i64,
-) {
-    if events.is_empty() {
-        return;
-    }
-    for e in &mut events {
-        e.pid = pid;
-        e.ts_us = e.ts_us.saturating_add_signed(clock_offset_us);
-    }
-    telemetry.ingest_trace_events(events);
-}
-
-/// Integrates one completed shard: journals fresh records atomically,
-/// marks the shard done, and updates per-worker accounting. Duplicate
-/// completions (a shard finished by a re-leased worker after an earlier
-/// eviction) are ignored record-by-record, so commits stay idempotent.
-fn handle_done(
-    g: &mut Scheduler,
-    worker: u64,
-    lease: u64,
-    shard: ShardSpec,
-    records: &[ProbeRecord],
-    stats: &ShardRunStats,
-    telemetry: &Telemetry,
-) {
-    g.leases.remove(&lease);
-    if g.done.contains(&shard) {
-        return;
-    }
-    let mut fresh = 0u64;
-    for rec in records {
-        if !g.records.contains_key(&rec.id) {
-            if let Some(w) = g.writer.as_mut() {
-                w.append(*rec);
-            }
-            g.records.insert(rec.id, *rec);
-            fresh += 1;
-        }
-    }
-    if let Some(w) = g.writer.as_mut() {
-        if let Err(e) = w.commit() {
-            g.fatal = Some(DistError::Journal(e));
+    let mut idle_since = Instant::now();
+    while !finished.load(Ordering::SeqCst) {
+        if pool.live_workers() > 0 {
+            idle_since = Instant::now();
+        } else if idle_since.elapsed() > limit {
+            cancel.store(true, Ordering::SeqCst);
             return;
         }
+        std::thread::sleep(Duration::from_millis(10));
     }
-    g.done.insert(shard);
-    g.agg.full_evals += stats.full_evals;
-    g.agg.cache_hits += stats.cache_hits;
-    g.agg.cache_builds += stats.cache_builds;
-    g.agg.retried += stats.retried;
-    if let Some(w) = g.workers.get_mut(&worker) {
-        w.shards += 1;
-        w.probes += records.len() as u64;
-        w.seconds += stats.seconds;
-    }
-    telemetry.counter("dist.shards_completed").incr();
-    telemetry.counter("dist.probes").add(fresh);
-    telemetry
-        .histogram("dist.shard_service")
-        .record_us((stats.seconds * 1e6) as u64);
 }

@@ -26,6 +26,9 @@ pub enum DistError {
     /// The job specification is invalid (unknown estimator tag, or an
     /// estimator that cannot be grid-sharded).
     BadJob(String),
+    /// A shard was evicted past the scheduler's retry cap: every worker
+    /// that leased it died or hung.
+    WorkerRetriesExhausted(String),
     /// Work remained but no worker was connected for the configured
     /// idle window.
     NoWorkers {
@@ -44,6 +47,9 @@ impl fmt::Display for DistError {
             Self::Rejected(reason) => write!(f, "coordinator rejected this worker: {reason}"),
             Self::Provider(why) => write!(f, "worker could not reconstruct the job: {why}"),
             Self::BadJob(why) => write!(f, "invalid job specification: {why}"),
+            Self::WorkerRetriesExhausted(detail) => {
+                write!(f, "worker retries exhausted: {detail}")
+            }
             Self::NoWorkers { waited } => write!(
                 f,
                 "work remained but no worker connected for {:.0?}",

@@ -13,7 +13,7 @@
 //! length, truncation mid-frame, checksum mismatch — maps to a typed
 //! [`FrameError`]; nothing in this module panics on untrusted bytes.
 
-use clado_telemetry::faultinject;
+use clado_telemetry::{faultinject, fnv1a};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -158,17 +158,6 @@ impl FrameError {
             self
         }
     }
-}
-
-/// FNV-1a over raw bytes (the frame checksum; the journal fingerprint
-/// uses the same function over u64 fields).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Writes one frame and flushes the stream.

@@ -10,14 +10,20 @@
 //! * **Protocol** ([`protocol`]): a versioned handshake carrying the
 //!   CLSJ config fingerprint (mismatched workers are rejected), then a
 //!   worker-driven lease loop.
-//! * **Coordinator** ([`Coordinator`]): leases shards with heartbeat
-//!   deadlines, evicts and requeues shards from dead or hung workers,
-//!   journals completions through the atomic CLSJ commit path (a killed
-//!   coordinator resumes losslessly), and assembles Ω in canonical
-//!   probe order — bitwise identical to a single-process run.
-//! * **Worker** ([`run_worker`]): reconstructs the job from its spec,
-//!   evaluates leased shards with [`clado_core::ShardContext`], and
-//!   heartbeats from a side thread while measuring.
+//! * **Shard scheduler** ([`WorkerPool`]): the one lease / heartbeat /
+//!   eviction state machine — capped per-shard retries with backoff,
+//!   fingerprint rejection, a per-shard hook, optional in-process
+//!   takeover, and cross-process tracing. It serves both callers below.
+//! * **Coordinator** ([`Coordinator`]): a one-shot sweep — a pool that
+//!   runs one job and shuts down — that journals completions through
+//!   the atomic CLSJ commit path (a killed coordinator resumes
+//!   losslessly) and assembles Ω in canonical probe order, bitwise
+//!   identical to a single-process run. The `clado serve` daemon is the
+//!   other caller, with a long-lived pool of warm workers.
+//! * **Worker** ([`run_pool_worker`], [`run_worker`]): reconstructs each
+//!   job from its spec, evaluates leased shards with
+//!   [`clado_core::ShardContext`], and heartbeats from a side thread
+//!   while measuring.
 //!
 //! ## Example (in-process loopback)
 //!
@@ -43,15 +49,21 @@
 
 #![warn(missing_docs)]
 
+mod backoff;
 mod coordinator;
 mod error;
 pub mod frame;
+mod omega;
+mod pool;
 pub mod protocol;
 pub mod wire;
 mod worker;
 
-pub use coordinator::{Coordinator, CoordinatorOptions, DistOutcome, WorkerSummary};
+pub use backoff::connect_with_retry;
+pub use coordinator::{Coordinator, CoordinatorOptions, DistOutcome};
 pub use error::DistError;
 pub use frame::{FrameError, MAX_PAYLOAD, PROTOCOL_VERSION};
+pub use omega::{assemble_omega, grid_estimator, job_fingerprint, NodeJob};
+pub use pool::{JobFailure, JobOutcome, PoolOptions, WorkerPool, WorkerSummary};
 pub use protocol::{scheme_from_u8, scheme_to_u8, JobSpec, Message};
 pub use worker::{run_pool_worker, run_worker, WorkerOptions, WorkerReport};

@@ -1,17 +1,19 @@
-//! Wire messages of the coordinator/worker protocol.
+//! Wire messages of the scheduler/worker protocol.
 //!
 //! The conversation is worker-driven after the handshake:
 //!
 //! ```text
-//! worker → Hello { protocol, pid }
-//! coord  → Job(JobSpec)                (or Reject on a version mismatch)
-//! worker → Ready { fingerprint, clock_us }
-//! coord  →                             (Reject + close on fingerprint mismatch)
-//! loop:
-//!   worker → LeaseRequest
-//!   coord  → Lease { lease, span_id, shard } | Idle { retry_ms } | Shutdown
-//!   worker → Heartbeat { lease }        (from a side thread, any time)
-//!   worker → ShardDone { lease, shard, records, stats, events }
+//! worker → Hello { protocol, pid }     (Reject on a version mismatch)
+//! per job:
+//!   coord  → Job(JobSpec)
+//!   worker → Ready { fingerprint, clock_us }
+//!   coord  →                           (Reject + close on fingerprint mismatch)
+//!   loop:
+//!     worker → LeaseRequest
+//!     coord  → Lease { lease, span_id, shard } | Idle { retry_ms } | JobDone
+//!     worker → Heartbeat { lease }      (from a side thread, any time)
+//!     worker → ShardDone { lease, shard, records, stats, events }
+//! coord  → Shutdown                    (to an idle worker, when the pool drains)
 //! ```
 //!
 //! Protocol v2 carries trace context end to end: the coordinator mints
@@ -20,10 +22,11 @@
 //! worker clock; `clock_us` from `Ready` lets the coordinator re-base
 //! them) back inside `ShardDone`.
 //!
-//! Protocol v3 adds `JobDone`: a coordinator that pools warm workers
-//! across jobs (the `clado serve` daemon) ends one job without ending
-//! the connection — the worker returns to awaiting the next `Job`
-//! instead of exiting. `Shutdown` still means "disconnect and exit".
+//! Protocol v3 adds `JobDone`: the scheduler ends one job without
+//! ending the connection — the worker returns to awaiting the next
+//! `Job` instead of exiting. `Shutdown` still means "disconnect and
+//! exit"; a one-shot coordinator's workers receive `JobDone` after the
+//! last shard and `Shutdown` once the coordinator drains.
 //!
 //! Every decode failure is a typed [`FrameError`]; unknown kinds, short
 //! payloads, trailing bytes, and out-of-range enum tags are all rejected

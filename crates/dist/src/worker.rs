@@ -1,4 +1,5 @@
-//! The sweep worker: connects to a coordinator, reconstructs the job
+//! The sweep worker: connects to a shard scheduler (a one-shot
+//! coordinator or the `clado serve` daemon), reconstructs each job
 //! locally, and evaluates leased shards until told to shut down.
 //!
 //! The worker's main thread is synchronous — request a lease, evaluate
@@ -7,16 +8,14 @@
 //! slow shard from a dead worker. Writes from the two threads are
 //! serialized through a mutex; the main thread is the only reader.
 
+use crate::backoff::connect_with_retry;
 use crate::error::DistError;
 use crate::frame::{FrameError, PROTOCOL_VERSION};
-use crate::protocol::{self, scheme_from_u8, JobSpec, Message};
-use clado_core::ShardContext;
-use clado_estim::{estimation_fingerprint, resolved_probe_budget, EstimatorKind, ProbePlanner};
+use crate::omega::NodeJob;
+use crate::protocol::{self, JobSpec, Message};
 use clado_models::DataSplit;
 use clado_nn::Network;
-use clado_quant::BitWidthSet;
 use clado_telemetry::{faultpoint, Telemetry};
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -103,6 +102,29 @@ struct HeartbeatGuard {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
+impl HeartbeatGuard {
+    /// Sends `Heartbeat { lease }` every `interval` until dropped.
+    fn start(conn: Arc<Conn>, lease: Arc<AtomicU64>, interval: Duration) -> Self {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            while !stopped.load(Ordering::Relaxed) {
+                std::thread::sleep(interval);
+                let msg = Message::Heartbeat {
+                    lease: lease.load(Ordering::Relaxed),
+                };
+                if stopped.load(Ordering::Relaxed) || conn.send(&msg).is_err() {
+                    break;
+                }
+            }
+        });
+        Self {
+            stop,
+            handle: Some(handle),
+        }
+    }
+}
+
 impl Drop for HeartbeatGuard {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
@@ -112,103 +134,16 @@ impl Drop for HeartbeatGuard {
     }
 }
 
-/// Backoff before retry `attempt` (0-based): 100 ms doubling to a
-/// 1.6 s cap, with ±25% jitter derived deterministically from
-/// (pid, attempt) so a restarted fleet doesn't reconnect in lockstep.
-fn backoff_delay(attempt: u32) -> Duration {
-    const BASE_MS: u64 = 100;
-    const CAP_MS: u64 = 1_600;
-    let nominal = (BASE_MS << attempt.min(10)).min(CAP_MS);
-    let mut seed = [0u8; 8];
-    seed[..4].copy_from_slice(&std::process::id().to_le_bytes());
-    seed[4..].copy_from_slice(&attempt.to_le_bytes());
-    let jitter_span = nominal / 2; // ±25% around the nominal delay
-    let jitter = crate::frame::fnv1a(&seed) % (jitter_span + 1);
-    Duration::from_millis(nominal - jitter_span / 2 + jitter)
-}
-
-/// Prepares an estimation job (`job.estimator != 0`): resolves the
-/// estimator kind, rebuilds the deterministic probe plan locally (the
-/// base and diagonal probes it measures are bitwise identical on every
-/// node, so every worker derives the *same* plan from just the tag,
-/// budget, and seed in the job), and returns the estimator fingerprint
-/// this worker must echo in `Ready`. Exact jobs return no planner and
-/// the plain configuration fingerprint.
-fn prepare_estimation(
-    ctx: &ShardContext,
-    network: &mut Network,
-    set: &DataSplit,
-    telemetry: &Telemetry,
-    job: &JobSpec,
-) -> Result<(Option<ProbePlanner>, u64), DistError> {
-    if job.estimator == 0 {
-        return Ok((None, ctx.fingerprint()));
-    }
-    let kind = match EstimatorKind::from_tag(job.estimator) {
-        Some(EstimatorKind::Hutchinson) => {
-            return Err(DistError::BadJob(
-                "hutchinson estimation is diagonal-only and not grid-shardable; \
-                 run it single-process"
-                    .into(),
-            ))
-        }
-        Some(kind) => kind,
-        None => {
-            return Err(DistError::BadJob(format!(
-                "unknown estimator tag {}",
-                job.estimator
-            )))
-        }
-    };
-    let budget = resolved_probe_budget(ctx, job.probe_budget as usize);
-    let fp = estimation_fingerprint(ctx, kind, job.probe_budget as usize, job.estimator_seed);
-    let _s = telemetry.span("dist.work.plan");
-    let (planner, _fresh, _stats) = ProbePlanner::build(
-        ctx,
-        network,
-        set,
-        telemetry,
-        kind,
-        budget,
-        job.estimator_seed,
-        &HashMap::new(),
-    )?;
-    Ok((Some(planner), fp))
-}
-
-fn connect_with_retry(addr: &str, window: Duration, retries: u32) -> Result<TcpStream, DistError> {
-    let deadline = Instant::now() + window;
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                if attempt >= retries {
-                    return Err(DistError::Io(e));
-                }
-                let delay = backoff_delay(attempt);
-                attempt += 1;
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(DistError::Io(e));
-                }
-                std::thread::sleep(delay.min(deadline - now));
-            }
-        }
-    }
-}
-
-/// Runs a worker against the coordinator at `addr` until the sweep
-/// completes (or fails). `provider` reconstructs the model and
-/// sensitivity set from the received [`JobSpec`] — the CLI passes the
+/// Runs a one-shot worker against the coordinator at `addr` until the
+/// sweep completes (or fails): [`run_pool_worker`] with a provider that
+/// is consulted once. `provider` reconstructs the model and sensitivity
+/// set from the received [`JobSpec`] — the CLI passes the
 /// pretrained-model loader; tests and benches pass synthetic builders.
 ///
 /// # Errors
 ///
-/// [`DistError::Rejected`] when the coordinator refuses the handshake
-/// (version or fingerprint mismatch), [`DistError::Provider`] when the
-/// job cannot be reconstructed, and [`DistError::Frame`]/[`DistError::Io`]
-/// when the coordinator link drops mid-sweep.
+/// As [`run_pool_worker`]; a second, different job is a
+/// [`DistError::Provider`] error.
 pub fn run_worker<F>(
     addr: &str,
     provider: F,
@@ -217,111 +152,15 @@ pub fn run_worker<F>(
 where
     F: FnOnce(&JobSpec) -> Result<(Network, DataSplit), String>,
 {
-    let telemetry = opts.telemetry.clone();
-    let _root = telemetry.span("dist.work");
-    let stream = connect_with_retry(addr, opts.connect_timeout, opts.connect_retries)?;
-    stream.set_nodelay(true).map_err(DistError::Io)?;
-    stream
-        .set_read_timeout(Some(REPLY_TIMEOUT))
-        .map_err(DistError::Io)?;
-    let conn = Arc::new(Conn {
-        stream,
-        write: Mutex::new(()),
-    });
-
-    conn.send(&Message::Hello {
-        protocol: PROTOCOL_VERSION,
-        pid: std::process::id(),
-    })?;
-    let job = match conn.recv()? {
-        Message::Job(job) => job,
-        Message::Reject { reason } => return Err(DistError::Rejected(reason)),
-        other => {
-            return Err(
-                FrameError::Malformed(format!("expected Job, got kind {}", other.kind())).into(),
-            )
-        }
-    };
-    if job.bits.is_empty() {
-        return Err(FrameError::Malformed("job carries no bit-widths".into()).into());
-    }
-    let scheme = scheme_from_u8(job.scheme)?;
-    // A nonzero trace id means the coordinator is tracing: record local
-    // events (tagged with the shared id) and ship them in ShardDone.
-    if job.trace_id != 0 {
-        telemetry.set_trace_id(job.trace_id);
-        telemetry.set_trace_enabled(true);
-    }
-
-    // Liveness side channel, started *before* the (potentially slow)
-    // model reconstruction: any frame resets the coordinator's
-    // heartbeat deadline, so neither a long model load nor a long shard
-    // looks like a dead worker.
-    let stop = Arc::new(AtomicBool::new(false));
-    let current_lease = Arc::new(AtomicU64::new(0));
-    let _heartbeat = {
-        let conn = Arc::clone(&conn);
-        let stop_flag = Arc::clone(&stop);
-        let lease = Arc::clone(&current_lease);
-        let interval = opts.heartbeat_interval;
-        HeartbeatGuard {
-            stop: Arc::clone(&stop),
-            handle: Some(std::thread::spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let msg = Message::Heartbeat {
-                        lease: lease.load(Ordering::Relaxed),
-                    };
-                    if conn.send(&msg).is_err() {
-                        break;
-                    }
-                }
-            })),
-        }
-    };
-
-    let (mut network, set) = {
-        let _s = telemetry.span("dist.work.load");
-        provider(&job).map_err(DistError::Provider)?
-    };
-    let bits = BitWidthSet::new(&job.bits);
-    let ctx = ShardContext::new(
-        &network,
-        set.len(),
-        &bits,
-        scheme,
-        job.batch_size as usize,
-        job.use_prefix_cache,
-    );
-    let (planner, fingerprint) = prepare_estimation(&ctx, &mut network, &set, &telemetry, &job)?;
-    if opts.verbose && fingerprint != job.fingerprint {
-        eprintln!(
-            "dist: local fingerprint {fingerprint:#018x} differs from job \
-             {:#018x}; expecting rejection",
-            job.fingerprint
-        );
-    }
-    conn.send(&Message::Ready {
-        fingerprint,
-        clock_us: telemetry.now_us(),
-    })?;
-
-    let mut report = WorkerReport::default();
-    lease_loop(
-        &conn,
-        &ctx,
-        planner.as_ref(),
-        &mut network,
-        &set,
-        &telemetry,
-        &current_lease,
-        &mut report,
-        opts.verbose,
+    let mut provider = Some(provider);
+    run_pool_worker(
+        addr,
+        |job| match provider.take() {
+            Some(provider) => provider(job),
+            None => Err("a one-shot worker serves a single job".into()),
+        },
+        opts,
     )
-    .map(|_| report)
 }
 
 /// Why the lease loop handed control back to the caller.
@@ -332,14 +171,11 @@ enum JobEnd {
     Shutdown,
 }
 
-/// The worker-driven lease/evaluate/report cycle shared by
-/// [`run_worker`] (one job per connection) and [`run_pool_worker`]
-/// (many jobs per connection).
+/// The worker-driven lease/evaluate/report cycle for one job.
 #[allow(clippy::too_many_arguments)]
 fn lease_loop(
     conn: &Conn,
-    ctx: &ShardContext,
-    planner: Option<&ProbePlanner>,
+    node: &NodeJob,
     network: &mut Network,
     set: &DataSplit,
     telemetry: &Telemetry,
@@ -373,14 +209,7 @@ fn lease_loop(
                             ("shard".to_string(), shard.to_string().into()),
                         ],
                     );
-                    // Estimation jobs route every shard through the
-                    // probe plan: base/diag shards replay the records
-                    // the planner already measured, pair shards run
-                    // only their selected probes.
-                    match planner {
-                        Some(p) => p.run_shard(ctx, network, set, shard, telemetry),
-                        None => ctx.run_shard(network, set, shard, telemetry),
-                    }
+                    node.run_shard(network, set, shard, telemetry)
                 };
                 current_lease.store(0, Ordering::Relaxed);
                 report.shards += 1;
@@ -423,20 +252,22 @@ fn lease_loop(
     }
 }
 
-/// Runs a pooled worker: like [`run_worker`], but the connection
-/// outlives a single job. When the coordinator (the `clado serve`
-/// daemon) ends one job with `JobDone`, the worker keeps the socket
-/// warm and awaits the next `Job`; `Shutdown` — or the daemon closing
-/// the socket while the worker is between jobs — ends the session
-/// cleanly. The provider is consulted once per distinct job spec:
-/// repeat specs (ignoring the per-request trace id) reuse the
-/// previously reconstructed model and sensitivity set, which is what
-/// makes a warm pool cheap to hit.
+/// Runs a worker against the scheduler at `addr`. The connection
+/// outlives a single job: when the scheduler ends one job with
+/// `JobDone`, the worker keeps the socket warm and awaits the next
+/// `Job`; `Shutdown` — or the scheduler closing the socket while the
+/// worker is between jobs — ends the session cleanly. The provider is
+/// consulted once per distinct job spec: repeat specs (ignoring the
+/// per-request trace id) reuse the previously reconstructed model and
+/// sensitivity set, which is what makes a warm pool cheap to hit.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`run_worker`]; additionally, a mid-job disconnect
-/// is an error while a between-jobs disconnect is a clean exit.
+/// [`DistError::Rejected`] when the scheduler refuses this worker
+/// (version or fingerprint mismatch), [`DistError::Provider`] when a job
+/// cannot be reconstructed, and [`DistError::Frame`]/[`DistError::Io`]
+/// when the link drops mid-job (a between-jobs disconnect is a clean
+/// exit).
 pub fn run_pool_worker<F>(
     addr: &str,
     mut provider: F,
@@ -447,7 +278,8 @@ where
 {
     let telemetry = opts.telemetry.clone();
     let _root = telemetry.span("dist.work.pool");
-    let stream = connect_with_retry(addr, opts.connect_timeout, opts.connect_retries)?;
+    let stream = connect_with_retry(addr, opts.connect_retries, Some(opts.connect_timeout))
+        .map_err(DistError::Io)?;
     stream.set_nodelay(true).map_err(DistError::Io)?;
     stream
         .set_read_timeout(Some(REPLY_TIMEOUT))
@@ -464,31 +296,12 @@ where
     // One heartbeat thread for the whole connection (lease 0 between
     // jobs): the daemon's heartbeat machinery is what detects a dead
     // pooled worker, so the liveness signal must not pause between jobs.
-    let stop = Arc::new(AtomicBool::new(false));
     let current_lease = Arc::new(AtomicU64::new(0));
-    let _heartbeat = {
-        let conn = Arc::clone(&conn);
-        let stop_flag = Arc::clone(&stop);
-        let lease = Arc::clone(&current_lease);
-        let interval = opts.heartbeat_interval;
-        HeartbeatGuard {
-            stop: Arc::clone(&stop),
-            handle: Some(std::thread::spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let msg = Message::Heartbeat {
-                        lease: lease.load(Ordering::Relaxed),
-                    };
-                    if conn.send(&msg).is_err() {
-                        break;
-                    }
-                }
-            })),
-        }
-    };
+    let _heartbeat = HeartbeatGuard::start(
+        Arc::clone(&conn),
+        Arc::clone(&current_lease),
+        opts.heartbeat_interval,
+    );
 
     let mut cached: Option<(JobSpec, Network, DataSplit)> = None;
     let mut report = WorkerReport::default();
@@ -511,10 +324,6 @@ where
             Err(e) if e.is_disconnect() => return Ok(report),
             Err(e) => return Err(e.into()),
         };
-        if job.bits.is_empty() {
-            return Err(FrameError::Malformed("job carries no bit-widths".into()).into());
-        }
-        let scheme = scheme_from_u8(job.scheme)?;
         if job.trace_id != 0 {
             telemetry.set_trace_id(job.trace_id);
             telemetry.set_trace_enabled(true);
@@ -535,24 +344,22 @@ where
         let Some((_, network, set)) = cached.as_mut() else {
             unreachable!("cache populated above");
         };
-        let bits = BitWidthSet::new(&job.bits);
-        let ctx = ShardContext::new(
-            network,
-            set.len(),
-            &bits,
-            scheme,
-            job.batch_size as usize,
-            job.use_prefix_cache,
-        );
-        let (planner, fingerprint) = prepare_estimation(&ctx, network, set, &telemetry, &job)?;
+        let node = NodeJob::build(&job, network, set, &telemetry)?;
+        let fingerprint = node.fingerprint;
+        if opts.verbose && fingerprint != job.fingerprint {
+            eprintln!(
+                "dist: local fingerprint {fingerprint:#018x} differs from job \
+                 {:#018x}; expecting rejection",
+                job.fingerprint
+            );
+        }
         conn.send(&Message::Ready {
             fingerprint,
             clock_us: telemetry.now_us(),
         })?;
         match lease_loop(
             &conn,
-            &ctx,
-            planner.as_ref(),
+            &node,
             network,
             set,
             &telemetry,

@@ -19,7 +19,9 @@ use clado_dist::{
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
 use clado_quant::{BitWidthSet, QuantScheme};
-use clado_telemetry::faultinject::{self, test_guard, FaultSpec};
+use clado_telemetry::faultinject::test_guard;
+#[cfg(debug_assertions)]
+use clado_telemetry::faultinject::{self, FaultSpec};
 use clado_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -315,6 +317,84 @@ fn dead_worker_mid_lease_is_evicted_and_sweep_still_matches() {
         outcome.matrix.stats.evaluations,
         reference.stats.evaluations
     );
+}
+
+/// A shard that kills every worker leasing it ends the one-shot sweep in
+/// the typed retries-exhausted error once the scheduler's retry cap is
+/// spent, instead of requeueing it until the fleet is gone.
+#[cfg(debug_assertions)]
+#[test]
+fn shard_that_kills_every_worker_exhausts_its_retries() {
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let dir = temp_dir("poisoned-shard");
+    let fp = context(&net, &set).fingerprint();
+
+    // Journal the whole sweep, then drop the last shard's commit so the
+    // resumed sweep leases exactly one shard.
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        context(&net, &set),
+        job(fp),
+        CoordinatorOptions {
+            checkpoint_dir: Some(dir.clone()),
+            ..coordinator_options()
+        },
+    )
+    .expect("bind");
+    let addr = coordinator.local_addr().to_string();
+    let workers = spawn_workers(&addr, 2, &net, &set, &WorkerOptions::default());
+    coordinator.run().expect("journaled sweep");
+    for handle in workers {
+        handle.join().expect("worker thread").expect("worker run");
+    }
+    let mut shards: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read checkpoint dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "clsj"))
+        .collect();
+    shards.sort();
+    std::fs::remove_file(shards.last().expect("a committed shard")).expect("delete shard");
+
+    // Every lease now kills the worker that takes it.
+    faultinject::arm("dist.worker.shard", FaultSpec::panic());
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        context(&net, &set),
+        job(fp),
+        CoordinatorOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            heartbeat_timeout: Duration::from_millis(500),
+            ..coordinator_options()
+        },
+    )
+    .expect("bind for resume");
+    let addr = coordinator.local_addr().to_string();
+    let workers = spawn_workers(
+        &addr,
+        8,
+        &net,
+        &set,
+        &WorkerOptions {
+            heartbeat_interval: Duration::from_millis(50),
+            ..Default::default()
+        },
+    );
+    let err = coordinator
+        .run()
+        .expect_err("a shard that kills every worker cannot complete");
+    assert!(
+        matches!(err, DistError::WorkerRetriesExhausted(_)),
+        "expected the retries-exhausted error, got {err}"
+    );
+    let died = workers
+        .into_iter()
+        .map(|h| h.join())
+        .filter(|r| r.is_err())
+        .count();
+    assert_eq!(died, 6, "the first lease plus five retries, then no more");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -8,7 +8,7 @@
 use clado_nn::Network;
 use std::fmt;
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"CLDW";
@@ -50,7 +50,8 @@ impl From<io::Error> for WeightsIoError {
     }
 }
 
-/// Serializes every parameter (including buffers) of `network` to `path`.
+/// Serializes every parameter (including buffers) of `network` to
+/// `path`, crash-safely (the weights cache is never left half-written).
 ///
 /// # Errors
 ///
@@ -76,9 +77,7 @@ pub fn save_weights(network: &mut Network, path: &Path) -> Result<(), WeightsIoE
             buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let tmp = path.with_extension("tmp");
-    fs::File::create(&tmp)?.write_all(&buf)?;
-    fs::rename(&tmp, path)?;
+    clado_telemetry::write_durable(path, &buf, "weights.commit")?;
     Ok(())
 }
 

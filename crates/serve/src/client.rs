@@ -20,45 +20,12 @@ pub struct SubmitOutcome {
     pub progress: Option<(u64, u64)>,
 }
 
-/// Nominal reconnect backoff before the `attempt`-th retry (0-based):
-/// 100 ms doubling to a 1.6 s cap, the same schedule pooled workers use.
-fn backoff_delay(attempt: u32) -> Duration {
-    const BASE_MS: u64 = 100;
-    const CAP_MS: u64 = 1_600;
-    let nominal = (BASE_MS << attempt.min(10)).min(CAP_MS);
-    // Deterministic-per-process jitter (FNV-1a over pid ‖ attempt)
-    // spread over ±25% of the nominal delay, so a fleet of clients
-    // hammering a restarting daemon doesn't reconnect in lockstep.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in std::process::id()
-        .to_le_bytes()
-        .into_iter()
-        .chain(attempt.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let span = nominal / 2;
-    let jitter = h % (span + 1);
-    Duration::from_millis(nominal - span / 2 + jitter)
-}
-
 /// Connects with up to `retries` additional capped-backoff attempts —
-/// the client-side mirror of the pooled worker's reconnect loop, so a
-/// daemon mid-restart costs a submitting client a short wait instead of
-/// an error.
+/// the workers' reconnect loop without its time window — so a daemon
+/// mid-restart costs a submitting client a short wait instead of an
+/// error.
 fn connect_with_retry(addr: &str, retries: u32) -> Result<TcpStream, ServeError> {
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if attempt >= retries => return Err(ServeError::Io(e)),
-            Err(_) => {
-                std::thread::sleep(backoff_delay(attempt));
-                attempt += 1;
-            }
-        }
-    }
+    Ok(clado_dist::connect_with_retry(addr, retries, None)?)
 }
 
 /// Submits one request to a daemon and blocks for the final response.
@@ -151,20 +118,6 @@ pub fn submit_with_retries(
 mod tests {
     use super::*;
     use std::time::Instant;
-
-    #[test]
-    fn backoff_doubles_with_bounded_jitter() {
-        for attempt in 0..12 {
-            let nominal = (100u64 << attempt.min(10)).min(1_600);
-            let d = backoff_delay(attempt).as_millis() as u64;
-            assert!(
-                d >= nominal - nominal / 2 / 2 && d <= nominal + nominal / 2 / 2 + 1,
-                "attempt {attempt}: delay {d} ms outside ±25% of {nominal} ms"
-            );
-        }
-        // Deterministic within a process.
-        assert_eq!(backoff_delay(3), backoff_delay(3));
-    }
 
     #[test]
     fn connect_retries_eventually_surface_the_io_error() {

@@ -27,26 +27,15 @@
 
 use crate::cache::CachedOmega;
 use clado_core::sensitivities_from_bytes;
-use clado_telemetry::{faultpoint, Telemetry};
+use clado_telemetry::{fnv1a, write_durable, Telemetry};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const MAGIC: [u8; 4] = *b"CLSO";
 const VERSION: u32 = 1;
-
-/// FNV-1a over raw bytes (same function as the wire checksum and the
-/// journal fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// The on-disk Ω spill store. All methods serialize on an internal
 /// mutex: entries are small (a CLSM image) and stores are rare (one per
@@ -205,20 +194,10 @@ impl DiskCache {
     pub fn store(&self, key: u64, entry: &CachedOmega) -> io::Result<()> {
         let data = encode(key, entry);
         let mut g = self.lock();
-        let path = self.path_of(key);
-        let tmp = path.with_extension("clso.tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&data)?;
-            file.sync_all()?;
-        }
-        // An `abort` armed here leaves only the fsynced tmp file behind
-        // — the partial-write crash the open path must shrug off.
-        faultpoint!("serve.diskcache.commit");
-        fs::rename(&tmp, &path)?;
-        if let Ok(d) = fs::File::open(&self.dir) {
-            d.sync_all().ok();
-        }
+        // An `abort` armed at `serve.diskcache.commit` leaves only the
+        // fsynced tmp file behind — the partial-write crash the open
+        // path must shrug off.
+        write_durable(&self.path_of(key), &data, "serve.diskcache.commit")?;
         if let Some(old) = g.sizes.remove(&key) {
             g.total -= old;
         }

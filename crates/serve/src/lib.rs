@@ -17,10 +17,11 @@
 //! * **Ω cache** ([`OmegaCache`]): keyed by a fingerprint over every
 //!   field of the [`MeasureSpec`]; a hit re-serves the first response's
 //!   CLSM image byte for byte, with zero probe evaluations.
-//! * **Pooled crash-resilient workers** ([`WorkerPool`]): warm
-//!   connections reused across requests, dead workers evicted by
-//!   heartbeat, failed shards retried on surviving workers with capped
-//!   backoff — a SIGKILLed worker mid-request costs a retry, not the
+//! * **Pooled crash-resilient workers** ([`WorkerPool`], the
+//!   `clado-dist` shard scheduler): warm connections reused across
+//!   requests, dead workers evicted by heartbeat, failed shards retried
+//!   on surviving workers with capped backoff, mismatched workers
+//!   rejected — a SIGKILLed worker mid-request costs a retry, not the
 //!   request, and never the daemon.
 //! * **Graceful drain** ([`Server::drain_flag`]): stop admitting,
 //!   finish in-flight work, shut the pool down, return the final
@@ -57,15 +58,14 @@ mod cache;
 mod client;
 mod diskcache;
 mod error;
-mod pool;
 pub mod protocol;
 mod server;
 
 pub use cache::{CachedOmega, OmegaCache};
+pub use clado_dist::{JobFailure, JobOutcome, PoolOptions, WorkerPool};
 pub use client::{submit, submit_with_retries, SubmitOutcome};
 pub use diskcache::DiskCache;
 pub use error::ServeError;
-pub use pool::{JobFailure, JobOutcome, PoolOptions, WorkerPool};
 pub use protocol::{
     AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };

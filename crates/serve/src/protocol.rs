@@ -88,12 +88,7 @@ impl MeasureSpec {
     /// two models with equal layer counts can never collide in the Ω
     /// cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in &self.canonical_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        clado_telemetry::fnv1a(&self.canonical_bytes())
     }
 }
 

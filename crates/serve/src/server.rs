@@ -31,25 +31,21 @@
 use crate::cache::{CachedOmega, OmegaCache};
 use crate::diskcache::DiskCache;
 use crate::error::ServeError;
-use crate::pool::{JobFailure, PoolOptions, WorkerPool};
 use crate::protocol::{
     self, AssignRow, FailKind, MeasureSpec, Op, RejectReason, ServeMessage, SubmitRequest,
 };
 use clado_core::{
-    assign_bits, sensitivities_to_bytes, AssignOptions, OmegaProvenance, SensitivityMatrix,
-    SensitivityStats, ShardContext,
+    assign_bits, sensitivities_to_bytes, AssignOptions, ProbeRecord, SensitivityStats,
 };
-use clado_dist::{scheme_from_u8, JobSpec};
-use clado_estim::{
-    complete_partial, estimation_fingerprint, resolved_probe_budget, EstimatorKind, ProbePlanner,
-    DEFAULT_ALS_ITERS, DEFAULT_ALS_RANK,
+use clado_dist::{
+    assemble_omega, grid_estimator, scheme_from_u8, JobFailure, JobSpec, NodeJob, PoolOptions,
+    WorkerPool,
 };
 use clado_models::DataSplit;
 use clado_nn::Network;
-use clado_quant::{BitWidthSet, LayerSizes};
+use clado_quant::LayerSizes;
 use clado_solver::SolverConfig;
 use clado_telemetry::Telemetry;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -209,6 +205,7 @@ impl Server {
                 telemetry: opts.telemetry.clone(),
                 verbose: opts.verbose,
             },
+            "serve.pool",
         )?;
         let cache = OmegaCache::new(opts.cache_capacity, opts.cache_bytes);
         let disk = match &opts.cache_dir {
@@ -401,17 +398,11 @@ fn validate(req: &SubmitRequest) -> Option<String> {
                 return Some("estimator seed requires an estimator".into());
             }
         }
-        tag => match EstimatorKind::from_tag(tag) {
-            Some(EstimatorKind::Hutchinson) => {
-                return Some(
-                    "hutchinson estimation is diagonal-only and not grid-shardable; \
-                     run it single-process"
-                        .into(),
-                )
+        tag => {
+            if let Err(why) = grid_estimator(tag) {
+                return Some(why);
             }
-            Some(_) => {}
-            None => return Some(format!("unknown estimator tag {tag}")),
-        },
+        }
     }
     match req.op {
         Op::Measure => None,
@@ -784,49 +775,7 @@ fn measure(
     let _span = inner.telemetry.span("serve.measure");
     let (mut network, set) = (inner.provider)(spec)
         .map_err(|e| failed(id, FailKind::Internal, format!("model provider: {e}")))?;
-    let bits = BitWidthSet::new(&spec.bits); // widths validated at admission
-    let scheme = scheme_from_u8(spec.scheme).expect("scheme validated at admission");
-    let ctx = ShardContext::new(
-        &network,
-        set.len(),
-        &bits,
-        scheme,
-        spec.batch_size as usize,
-        spec.use_prefix_cache,
-    );
-    let started = Instant::now();
-    let telemetry = inner.telemetry.clone();
-    // Estimation requests (admission validated the tag: 1–3, never
-    // hutchinson) rebuild the same deterministic probe plan pooled
-    // workers derive from the job's estimator fields; the job
-    // fingerprint becomes the estimation fingerprint so only workers
-    // with the identical plan pass the Ready check.
-    let estimator = EstimatorKind::from_tag(spec.estimator);
-    let (planner, plan_stats) = match estimator {
-        Some(kind) => {
-            let budget = resolved_probe_budget(&ctx, spec.probe_budget as usize);
-            let (planner, _fresh, stats) = ProbePlanner::build(
-                &ctx,
-                &mut network,
-                &set,
-                &telemetry,
-                kind,
-                budget,
-                spec.estimator_seed,
-                &HashMap::new(),
-            )
-            .map_err(|e| failed(id, FailKind::Internal, format!("probe planning: {e}")))?;
-            (Some(planner), stats)
-        }
-        None => (None, Default::default()),
-    };
-    let job_fingerprint = match estimator {
-        Some(kind) => {
-            estimation_fingerprint(&ctx, kind, spec.probe_budget as usize, spec.estimator_seed)
-        }
-        None => ctx.fingerprint(),
-    };
-    let job = JobSpec {
+    let mut job = JobSpec {
         model: spec.model.clone(),
         set_size: spec.set_size,
         set_seed: spec.set_seed,
@@ -834,7 +783,7 @@ fn measure(
         bits: spec.bits.clone(),
         scheme: spec.scheme,
         use_prefix_cache: spec.use_prefix_cache,
-        fingerprint: job_fingerprint,
+        fingerprint: 0,
         // Pooled jobs do not ship worker trace events; request latency
         // is captured by the serve.request histogram instead.
         trace_id: 0,
@@ -842,32 +791,38 @@ fn measure(
         probe_budget: spec.probe_budget,
         estimator_seed: spec.estimator_seed,
     };
+    let started = Instant::now();
+    let telemetry = inner.telemetry.clone();
+    // The daemon rebuilds the job exactly as its pooled workers do, so
+    // an estimation request's probe plan and fingerprint match theirs
+    // and only workers with the identical plan pass the Ready check.
+    let node = NodeJob::build(&job, &mut network, &set, &telemetry)
+        .map_err(|e| failed(id, FailKind::Internal, format!("job setup: {e}")))?;
+    job.fingerprint = node.fingerprint;
     // Interim progress: `planned_probes` already counts the memoized
     // base+diagonal records an estimation plan replays, so both totals
     // match what the pool integrates record by record.
-    let probes_total = match planner.as_ref() {
+    let probes_total = match &node.planner {
         Some(p) => p.planned_probes() as u64,
-        None => ctx.total_probes() as u64,
+        None => node.ctx.total_probes() as u64,
     };
     let mut progress_writer = &item.stream;
-    let accepted_sent = Arc::clone(&item.accepted_sent);
+    let mut probes_done = 0u64;
     let outcome = inner
         .pool
         .run_job(
             job,
-            ctx.shards(),
+            node.ctx.shards(),
             &item.cancel,
             item.deadline,
-            |shard| match planner.as_ref() {
-                Some(p) => p.run_shard(&ctx, &mut network, &set, shard, &telemetry),
-                None => ctx.run_shard(&mut network, &set, shard, &telemetry),
-            },
-            |probes_done| {
+            Some(&mut |shard| node.run_shard(&mut network, &set, shard, &telemetry)),
+            |shard: &[ProbeRecord]| {
                 // Never write before the admission thread's `Accepted`
                 // frame is on the wire — and never fail the request over
                 // a progress frame (a vanished client raises the cancel
                 // flag through the disconnect watcher anyway).
-                if accepted_sent.load(Ordering::SeqCst) {
+                probes_done += shard.len() as u64;
+                if item.accepted_sent.load(Ordering::SeqCst) {
                     let _ = protocol::send(
                         &mut progress_writer,
                         &ServeMessage::Progress {
@@ -877,9 +832,10 @@ fn measure(
                         },
                     );
                 }
+                Ok(())
             },
         )
-        .map_err(|f| match f {
+        .map_err(|f: JobFailure| match f {
             JobFailure::DeadlineExceeded => failed(
                 id,
                 FailKind::DeadlineExceeded,
@@ -889,56 +845,31 @@ fn measure(
             JobFailure::WorkerRetriesExhausted(detail) => {
                 failed(id, FailKind::WorkerRetriesExhausted, detail)
             }
+            JobFailure::Hook(never) => match never {},
         })?;
-    let (matrix, base_loss, quarantined) = match estimator {
-        Some(kind) => {
-            let assembly = ctx
-                .assemble_partial(&outcome.records)
-                .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?;
-            let completed = complete_partial(
-                kind,
-                &assembly.g,
-                &assembly.observed,
-                DEFAULT_ALS_RANK,
-                DEFAULT_ALS_ITERS,
-                spec.estimator_seed,
-            );
-            (completed, assembly.base_loss, assembly.quarantined)
-        }
-        None => ctx
-            .assemble(&outcome.records)
-            .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?,
-    };
     // The planner's local base+diagonal pass for an estimation request
     // runs outside the pool, so its evaluations are added here.
-    let evaluations =
-        outcome.full_evals + outcome.cache_hits + plan_stats.full_evals + plan_stats.cache_hits;
+    let plan = node.plan_stats;
+    let evaluations = outcome.full_evals + outcome.cache_hits + plan.full_evals + plan.cache_hits;
     let stats = SensitivityStats {
         evaluations: evaluations as usize,
         seconds: started.elapsed().as_secs_f64(),
         threads_used: outcome.workers_used.max(1),
-        prefix_cache_builds: (outcome.cache_builds + plan_stats.cache_builds) as usize,
-        prefix_cache_hits: (outcome.cache_hits + plan_stats.cache_hits) as usize,
-        full_evals: (outcome.full_evals + plan_stats.full_evals) as usize,
-        resumed: 0,
-        retried: (outcome.retried + plan_stats.retried) as usize,
-        quarantined,
-        provenance: match estimator {
-            Some(kind) => OmegaProvenance::estimated(
-                kind.tag(),
-                resolved_probe_budget(&ctx, spec.probe_budget as usize) as u64,
-                spec.estimator_seed,
-            ),
-            None => OmegaProvenance::exact(),
-        },
+        prefix_cache_builds: (outcome.cache_builds + plan.cache_builds) as usize,
+        prefix_cache_hits: (outcome.cache_hits + plan.cache_hits) as usize,
+        full_evals: (outcome.full_evals + plan.full_evals) as usize,
+        retried: (outcome.retried + plan.retried) as usize,
+        ..SensitivityStats::default()
     };
-    let matrix = SensitivityMatrix::from_parts(
-        matrix,
-        ctx.num_layers(),
-        ctx.bits().clone(),
-        base_loss,
+    let matrix = assemble_omega(
+        &node.ctx,
+        node.estimator,
+        spec.probe_budget,
+        spec.estimator_seed,
+        &outcome.records,
         stats,
-    );
+    )
+    .map_err(|e| failed(id, FailKind::Internal, format!("assembly: {e}")))?;
     let entry = Arc::new(CachedOmega {
         clsm: sensitivities_to_bytes(&matrix),
         param_counts: network.layer_param_counts(),

@@ -12,6 +12,7 @@
 use clado_core::{
     measure_sensitivities, sensitivities_from_bytes, SensitivityMatrix, SensitivityOptions,
 };
+#[cfg(debug_assertions)]
 use clado_dist::{run_pool_worker, WorkerOptions};
 use clado_models::{DataSplit, SynthVision, SynthVisionConfig};
 use clado_nn::Network;
@@ -21,7 +22,9 @@ use clado_serve::{
     submit, MeasureSpec, ModelProvider, Op, RejectReason, ServeError, ServeMessage, ServeOptions,
     ServeReport, Server, SubmitRequest,
 };
-use clado_telemetry::faultinject::{self, test_guard, FaultSpec};
+use clado_telemetry::faultinject::test_guard;
+#[cfg(debug_assertions)]
+use clado_telemetry::faultinject::{self, FaultSpec};
 use clado_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -682,6 +685,81 @@ fn killed_worker_mid_request_is_retried_on_the_survivor_bitwise_identical() {
     assert_eq!(panicked, 1, "exactly one worker thread died");
 }
 
+/// A pooled worker whose `Ready` fingerprint differs from the job's is
+/// rejected and counted, and the request it was offered still completes
+/// — bitwise identical to the single-process Ω — instead of failing.
+#[test]
+fn mismatched_pool_worker_is_rejected_and_the_request_still_completes() {
+    use clado_dist::{protocol, Message, PROTOCOL_VERSION};
+    let _guard = test_guard();
+    let (net, set) = setup();
+    let reference = reference_matrix(&net, &set);
+    let telemetry = Telemetry::new();
+    let (addr, worker_addr, drain, handle) = start(
+        provider_of(&net, &set),
+        ServeOptions {
+            telemetry: telemetry.clone(),
+            ..ServeOptions::default()
+        },
+    );
+
+    // An impostor: handshakes, takes the job, and answers Ready with a
+    // fingerprint no worker rebuilding this configuration computes.
+    let impostor = std::thread::spawn(move || {
+        let stream = std::net::TcpStream::connect(&worker_addr).expect("connect");
+        let mut s = &stream;
+        protocol::send(
+            &mut s,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                pid: 1,
+            },
+        )
+        .expect("hello");
+        let Message::Job(job) = protocol::recv(&mut s).expect("job") else {
+            panic!("expected a job");
+        };
+        protocol::send(
+            &mut s,
+            &Message::Ready {
+                fingerprint: job.fingerprint ^ 0xFFFF,
+                clock_us: 0,
+            },
+        )
+        .expect("ready");
+        match protocol::recv(&mut s).expect("reject reply") {
+            Message::Reject { reason } => {
+                assert!(
+                    reason.contains("fingerprint mismatch"),
+                    "reject reason: {reason}"
+                );
+            }
+            other => panic!("expected Reject, got kind {}", other.kind()),
+        }
+    });
+    let connect_deadline = Instant::now() + Duration::from_secs(10);
+    while telemetry.counter_value("serve.pool.workers_connected") < 1 {
+        assert!(Instant::now() < connect_deadline, "impostor connects");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let outcome =
+        submit(&addr, &measure_request(spec()), None).expect("request survives a rejected worker");
+    match outcome.response {
+        ServeMessage::MeasureDone { clsm, .. } => {
+            let served = sensitivities_from_bytes(&clsm).expect("served CLSM decodes");
+            assert_bitwise_equal(&served, &reference, "after a rejected worker");
+        }
+        other => panic!("expected MeasureDone, got kind {}", other.kind()),
+    }
+    impostor.join().expect("impostor thread");
+    assert_eq!(telemetry.counter_value("serve.pool.rejected_workers"), 1);
+
+    let report = drain_and_join(&drain, handle);
+    assert_eq!(report.completed, 1);
+    assert_eq!(report.failed, 0);
+}
+
 #[test]
 fn drain_under_load_finishes_inflight_work_and_refuses_late_submitters() {
     let _guard = test_guard();
@@ -957,6 +1035,7 @@ fn exact_and_estimated_entries_survive_a_restart_without_colliding() {
 
 /// A warmed daemon: client address, drain flag, server join handle, and
 /// the cached CLSM bytes its Ω cache will serve.
+#[cfg(debug_assertions)]
 type WarmDaemon = (
     String,
     Arc<std::sync::atomic::AtomicBool>,
@@ -968,6 +1047,7 @@ type WarmDaemon = (
 /// exactly three frames (client Submit, server Accepted, server
 /// response) — the deterministic frame count the wire-fault tests key
 /// their `skip` windows on.
+#[cfg(debug_assertions)]
 fn warm_daemon(net: &Network, set: &DataSplit) -> WarmDaemon {
     let (addr, _w, drain, handle) = start(provider_of(net, set), ServeOptions::default());
     let first = submit(&addr, &measure_request(spec()), None).expect("warm-up submit");

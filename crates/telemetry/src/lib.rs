@@ -42,13 +42,19 @@
 //! fault-injection hooks compiled to no-ops in release builds; the
 //! fault-tolerance test suites use them to kill workers, abort commits,
 //! and poison losses at reproducible points of a run.
+//!
+//! **Persistence primitives** ([`fnv1a`], [`write_durable`]) are the
+//! one FNV-1a hash and the one crash-safe file write behind every
+//! fingerprint, checksum and committed file in the workspace.
 
+mod durable;
 pub mod faultinject;
 mod json;
 mod manifest;
 mod progress;
 mod trace;
 
+pub use durable::{fnv1a, write_durable};
 pub use json::{parse as parse_json, Json};
 pub use manifest::ManifestValue;
 pub use progress::Progress;
