@@ -1,9 +1,8 @@
 //! Convolution layer wrapping the `clado-tensor` conv kernels.
 
-use crate::int_exec::IntExecWeight;
 use crate::layer::{join, Layer};
 use crate::param::{Param, ParamRole, ParamVisitor, ParamVisitorRef};
-use clado_tensor::{conv2d_backward, conv2d_forward, im2col_ld, init, Conv2dSpec, Tensor};
+use clado_tensor::{conv2d_backward, conv2d_forward, conv2d_forward_int, init, Conv2dSpec, Tensor};
 use rand::Rng;
 
 /// A 2-D convolution layer (dense, grouped, or depthwise).
@@ -41,115 +40,20 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
-
-    /// Integer-execution forward: im2col → dynamic int8 activations →
-    /// int8/int4 GEMM with i32 accumulation → requantize → bias.
-    ///
-    /// All samples share one wide column matrix per group so the integer
-    /// GEMM runs once over `n·ho·wo` positions instead of once per sample.
-    /// Activation scales stay per-sample (same values as the per-sample
-    /// formulation), and i32 accumulation is exact, so outputs are
-    /// bit-identical to running each sample on its own.
-    fn forward_int(&self, x: &Tensor, ie: &IntExecWeight) -> Tensor {
-        let d = x.shape().dims().to_vec();
-        let (n, cin, h, w) = (d[0], d[1], d[2], d[3]);
-        assert_eq!(cin, self.spec.in_channels, "input channel mismatch");
-        let (ho, wo) = (self.spec.out_size(h), self.spec.out_size(w));
-        let howo = ho * wo;
-        let g = self.spec.groups;
-        let (cg_in, cg_out) = (cin / g, self.spec.out_channels / g);
-        let col_rows = cg_in * self.spec.kernel * self.spec.kernel;
-        let ld = n * howo;
-        let mut col = vec![0.0f32; col_rows * ld];
-        // The integer GEMM wants the activations as the A (row-dot)
-        // operand, so the quantized column matrix is stored transposed:
-        // one row per spatial position, samples stacked.
-        let mut qcol_t = vec![0i8; ld * col_rows];
-        let mut a_scales = vec![0.0f32; n];
-        let mut acc = vec![0i32; ld * cg_out];
-        let mut req = vec![0.0f32; howo * cg_out];
-        let mut out = Tensor::zeros([n, self.spec.out_channels, ho, wo]);
-        for gi in 0..g {
-            for s in 0..n {
-                let in_s = &x.data()[s * cin * h * w..(s + 1) * cin * h * w];
-                im2col_ld(
-                    &in_s[gi * cg_in * h * w..],
-                    cg_in,
-                    h,
-                    w,
-                    &self.spec,
-                    ho,
-                    wo,
-                    &mut col[s * howo..],
-                    ld,
-                );
-            }
-            for s in 0..n {
-                // Dynamic per-sample absmax scale — identical element
-                // order and value as `dynamic_act_scale` over the
-                // sample's own column matrix.
-                let mut absmax = 0.0f32;
-                for r in 0..col_rows {
-                    let c_row = &col[r * ld + s * howo..r * ld + (s + 1) * howo];
-                    absmax = c_row.iter().fold(absmax, |m, &v| m.max(v.abs()));
-                }
-                let a_scale = absmax / 127.0;
-                a_scales[s] = a_scale;
-                let q_block = &mut qcol_t[s * howo * col_rows..(s + 1) * howo * col_rows];
-                if a_scale == 0.0 {
-                    q_block.fill(0);
-                } else {
-                    let inv = 1.0 / a_scale;
-                    for r in 0..col_rows {
-                        let c_row = &col[r * ld + s * howo..r * ld + (s + 1) * howo];
-                        for (p, &v) in c_row.iter().enumerate() {
-                            q_block[p * col_rows + r] =
-                                (v * inv).round().clamp(-127.0, 127.0) as i8;
-                        }
-                    }
-                }
-            }
-            ie.matmul_a_bt(&qcol_t, ld, gi * cg_out, cg_out, &mut acc);
-            let od = out.data_mut();
-            for s in 0..n {
-                ie.requantize_into(
-                    &acc[s * howo * cg_out..(s + 1) * howo * cg_out],
-                    cg_out,
-                    gi * cg_out,
-                    a_scales[s],
-                    &mut req,
-                );
-                // req is [howo × cg_out]; the output layout is the
-                // transpose, [cg_out × howo].
-                let out_base = s * self.spec.out_channels * howo + gi * cg_out * howo;
-                let out_g = &mut od[out_base..out_base + cg_out * howo];
-                for (p, r_row) in req.chunks_exact(cg_out).enumerate() {
-                    for (oc, &v) in r_row.iter().enumerate() {
-                        out_g[oc * howo + p] = v;
-                    }
-                }
-            }
-        }
-        if let Some(b) = &self.bias {
-            let bd = b.value.data();
-            let od = out.data_mut();
-            for s in 0..n {
-                for (oc, &bv) in bd.iter().enumerate() {
-                    let base = (s * self.spec.out_channels + oc) * howo;
-                    for o in &mut od[base..base + howo] {
-                        *o += bv;
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
         let y = match (&self.weight.int_exec, training) {
-            (Some(ie), false) => self.forward_int(&x, ie),
+            // Integer execution: per-sample int8 activations, exact i32
+            // accumulation, requantize + bias fused into the store.
+            (Some(ie), false) => conv2d_forward_int(
+                &x,
+                ie.packed(),
+                ie.scales(),
+                self.bias.as_ref().map(|b| &b.value),
+                &self.spec,
+            ),
             _ => conv2d_forward(
                 &x,
                 &self.weight.value,

@@ -1,8 +1,8 @@
 //! Fully-connected (linear) layer.
 
-use crate::int_exec::quantize_activations;
 use crate::layer::{join, Layer};
 use crate::param::{Param, ParamRole, ParamVisitor, ParamVisitorRef};
+use clado_tensor::igemm::linear_int;
 use clado_tensor::{init, matmul, matmul_a_bt, matmul_at_b, Shape, Tensor};
 use rand::Rng;
 
@@ -73,28 +73,27 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, x: Tensor, training: bool) -> Tensor {
         let x2 = self.to_2d(&x);
-        let mut y = match (&self.weight.int_exec, training) {
+        let bd = self.bias.value.data();
+        let y = match (&self.weight.int_exec, training) {
             // Integer execution: dynamic int8 activations against the
-            // pre-quantized weight, exact i32 accumulation, requantize.
+            // pre-quantized weight, exact i32 accumulation, requantize
+            // and bias fused into the store.
             (Some(ie), false) => {
                 let rows = x2.shape().dim(0);
-                let (qx, a_scale) = quantize_activations(x2.data());
-                let mut acc = vec![0i32; rows * self.out_features];
-                ie.matmul_a_bt(&qx, rows, 0, self.out_features, &mut acc);
                 let mut y = Tensor::zeros([rows, self.out_features]);
-                ie.requantize_into(&acc, self.out_features, 0, a_scale, y.data_mut());
+                linear_int(x2.data(), rows, ie.packed(), ie.scales(), bd, y.data_mut());
                 y
             }
-            _ => matmul_a_bt(&x2, &self.weight.value),
-        };
-        let rows = y.shape().dim(0);
-        let bd = self.bias.value.data();
-        for r in 0..rows {
-            let row = &mut y.data_mut()[r * self.out_features..(r + 1) * self.out_features];
-            for (v, &b) in row.iter_mut().zip(bd) {
-                *v += b;
+            _ => {
+                let mut y = matmul_a_bt(&x2, &self.weight.value);
+                for row in y.data_mut().chunks_exact_mut(self.out_features) {
+                    for (v, &b) in row.iter_mut().zip(bd) {
+                        *v += b;
+                    }
+                }
+                y
             }
-        }
+        };
         let orig = x.shape();
         self.cache = Some((x2, orig));
         self.restore_leading_dims(y, orig, self.out_features)

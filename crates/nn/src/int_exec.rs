@@ -1,5 +1,5 @@
 //! Integer execution mode: pre-quantized weights that dense/conv layers
-//! run through the real int8 / packed-int4 GEMM instead of float.
+//! run through the real integer GEMM instead of float.
 //!
 //! The rest of the MPQ machinery *plans* bit-assignments by probing
 //! fake-quantized float weights. Installing an [`IntExecWeight`] on a
@@ -9,28 +9,21 @@
 //! 1. Weights are quantized **once** with the same MSE-calibrated scales
 //!    as `clado_quant::quantize_weights`, so the stored levels dequantize
 //!    bit-for-bit to the fake-quant reference (`q·s == Q(w)`).
-//! 2. Activations are quantized dynamically per tensor (symmetric absmax)
-//!    at each forward.
+//! 2. Activations are quantized dynamically at each forward (symmetric
+//!    absmax over 127 levels: per sample and group for convs, over the
+//!    pixels the conv reads; per tensor for dense layers).
 //! 3. Products accumulate exactly in `i32` and requantize back to f32 at
 //!    the layer boundary; biases and everything downstream stay float.
 //!
-//! Bit-widths of 5–8 run as int8; 1–4 pack two levels per byte (int4
-//! storage). Widths above 8 and affine schemes fall back to float
-//! execution (the layer simply keeps `int_exec = None`).
+//! Every bit-width from 1 to 8 runs on the same i16 k-pair weight packing
+//! and the one strip microkernel of `clado_tensor::igemm` (levels of ≤4
+//! bits simply occupy fewer of the 16 bits). Widths above 8 and affine
+//! schemes fall back to float execution (the layer simply keeps
+//! `int_exec = None`).
 
 use clado_quant::{calibrate_symmetric, BitWidth, QuantScheme};
-use clado_tensor::igemm::{igemm_i4_a_bt, igemm_i8_a_bt, pack_i4, quantize_i8, requantize, Scales};
+use clado_tensor::igemm::{quantize_i8, PackedRows, Scales};
 use clado_tensor::Tensor;
-
-/// Quantized level storage for one weight tensor.
-#[derive(Debug, Clone)]
-enum IntWeightData {
-    /// One signed level per element, row-major `[rows, cols]`.
-    I8(Vec<i8>),
-    /// Rows packed two nibbles per byte; each row occupies
-    /// `cols.div_ceil(2)` bytes.
-    I4(Vec<u8>),
-}
 
 /// Per-tensor or per-output-channel weight scales.
 #[derive(Debug, Clone)]
@@ -39,19 +32,16 @@ enum WeightScales {
     PerChannel(Vec<f32>),
 }
 
-/// A weight tensor prepared for integer execution: quantized levels plus
-/// the scales needed to requantize i32 accumulators back to f32.
+/// A weight tensor prepared for integer execution: quantized levels,
+/// packed once for the integer microkernel, plus the scales needed to
+/// requantize i32 accumulators back to f32.
 ///
 /// Rows are output channels (dimension 0 of the weight tensor); columns
-/// are the flattened reduction axis. In every integer GEMM the weight is
-/// the `Bᵀ` operand, so output channel = output column, which is what
-/// [`IntExecWeight::requantize_into`] assumes.
+/// are the flattened reduction axis.
 #[derive(Debug, Clone)]
 pub struct IntExecWeight {
     bits: u8,
-    rows: usize,
-    cols: usize,
-    data: IntWeightData,
+    packed: PackedRows,
     scales: WeightScales,
 }
 
@@ -92,20 +82,9 @@ impl IntExecWeight {
             }
             QuantScheme::PerChannelAffine => unreachable!("filtered above"),
         };
-        let data = if bits.bits() <= 4 {
-            let mut packed = Vec::with_capacity(rows * cols.div_ceil(2));
-            for row in q.chunks(cols) {
-                packed.extend(pack_i4(row));
-            }
-            IntWeightData::I4(packed)
-        } else {
-            IntWeightData::I8(q)
-        };
         Some(Self {
             bits: bits.bits(),
-            rows,
-            cols,
-            data,
+            packed: PackedRows::from_i8(&q, rows, cols),
             scales,
         })
     }
@@ -117,61 +96,24 @@ impl IntExecWeight {
 
     /// Output channels (weight rows).
     pub fn rows(&self) -> usize {
-        self.rows
+        self.packed.rows()
     }
 
     /// Flattened reduction length (weight columns).
     pub fn cols(&self) -> usize {
-        self.cols
+        self.packed.k()
     }
 
-    /// `acc[m × nrows] = qa[m × cols] · Wq[row0..row0+nrows]ᵀ` with exact
-    /// i32 accumulation, over a contiguous row range of the weight (conv
-    /// groups pass their slice; dense layers pass the full range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row range or buffer lengths are inconsistent.
-    pub fn matmul_a_bt(&self, qa: &[i8], m: usize, row0: usize, nrows: usize, acc: &mut [i32]) {
-        assert!(row0 + nrows <= self.rows, "weight row range out of bounds");
-        match &self.data {
-            IntWeightData::I8(q) => {
-                let b = &q[row0 * self.cols..(row0 + nrows) * self.cols];
-                igemm_i8_a_bt(qa, b, acc, m, self.cols, nrows);
-            }
-            IntWeightData::I4(packed) => {
-                let row_bytes = self.cols.div_ceil(2);
-                let b = &packed[row0 * row_bytes..(row0 + nrows) * row_bytes];
-                igemm_i4_a_bt(qa, b, acc, m, self.cols, nrows);
-            }
-        }
+    /// The levels, packed for the integer microkernel.
+    pub fn packed(&self) -> &PackedRows {
+        &self.packed
     }
 
-    /// Requantizes an accumulator produced by [`IntExecWeight::matmul_a_bt`]
-    /// over the same row range: `out[i][j] = acc[i][j] · a_scale · s_{row0+j}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on buffer length mismatches.
-    pub fn requantize_into(
-        &self,
-        acc: &[i32],
-        nrows: usize,
-        row0: usize,
-        a_scale: f32,
-        out: &mut [f32],
-    ) {
+    /// The requantization scales, one per tensor or per output channel.
+    pub fn scales(&self) -> Scales<'_> {
         match &self.scales {
-            WeightScales::PerTensor(s) => {
-                requantize(acc, nrows, a_scale, Scales::PerTensor(*s), out)
-            }
-            WeightScales::PerChannel(s) => requantize(
-                acc,
-                nrows,
-                a_scale,
-                Scales::PerChannel(&s[row0..row0 + nrows]),
-                out,
-            ),
+            WeightScales::PerTensor(s) => Scales::PerTensor(*s),
+            WeightScales::PerChannel(s) => Scales::PerChannel(s),
         }
     }
 
@@ -179,46 +121,12 @@ impl IntExecWeight {
     /// `clado_quant::quantize_weights` on the source tensor (up to the
     /// sign of zero, which the integer domain normalizes to `+0.0`).
     pub fn dequantize(&self) -> Vec<f32> {
-        let levels: Vec<i8> = match &self.data {
-            IntWeightData::I8(q) => q.clone(),
-            IntWeightData::I4(packed) => {
-                let row_bytes = self.cols.div_ceil(2);
-                let mut out = Vec::with_capacity(self.rows * self.cols);
-                for r in 0..self.rows {
-                    out.extend(clado_tensor::igemm::unpack_i4(
-                        &packed[r * row_bytes..(r + 1) * row_bytes],
-                        self.cols,
-                    ));
-                }
-                out
-            }
-        };
-        levels
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| {
-                let s = match &self.scales {
-                    WeightScales::PerTensor(s) => *s,
-                    WeightScales::PerChannel(s) => s[i / self.cols],
-                };
-                q as f32 * s
-            })
+        let (rows, cols) = (self.rows(), self.cols());
+        let scales = self.scales();
+        (0..rows * cols)
+            .map(|i| self.packed.level(i / cols, i % cols) as f32 * scales.at(i / cols))
             .collect()
     }
-}
-
-/// Dynamic per-tensor activation scale: symmetric absmax over 127 levels.
-/// Returns `0.0` for an all-zero tensor (quantizes to all-zero levels).
-pub fn dynamic_act_scale(x: &[f32]) -> f32 {
-    let absmax = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    absmax / 127.0
-}
-
-/// Quantizes activations with a dynamic per-tensor scale, returning the
-/// levels and the scale.
-pub fn quantize_activations(x: &[f32]) -> (Vec<i8>, f32) {
-    let scale = dynamic_act_scale(x);
-    (quantize_i8(x, scale, -127, 127), scale)
 }
 
 #[cfg(test)]
@@ -276,28 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn low_bits_pack_to_nibbles() {
+    fn low_bits_dequantize_to_the_reference() {
         let w = weight([4, 5], 7);
         let ie =
             IntExecWeight::prepare(&w, BitWidth::of(2), QuantScheme::PerTensorSymmetric).unwrap();
-        assert!(matches!(ie.data, IntWeightData::I4(_)));
         assert_eq!(ie.bits(), 2);
-        // Dequantized int4 storage still matches the reference.
+        // 2-bit levels share the i16 packing and still match the reference.
         let reference = quantize_weights(&w, BitWidth::of(2), QuantScheme::PerTensorSymmetric);
         for (&got, &want) in ie.dequantize().iter().zip(reference.data()) {
             assert!(got == want, "{got} vs {want}");
         }
-    }
-
-    #[test]
-    fn activation_quantization_is_symmetric() {
-        let x = vec![1.0f32, -2.0, 0.5, 2.0];
-        let (q, s) = quantize_activations(&x);
-        assert_eq!(s, 2.0 / 127.0);
-        assert_eq!(q[1], -127);
-        assert_eq!(q[3], 127);
-        let (qz, sz) = quantize_activations(&[0.0; 4]);
-        assert_eq!(sz, 0.0);
-        assert_eq!(qz, vec![0; 4]);
     }
 }

@@ -50,7 +50,7 @@ pub use attention::{MultiHeadAttention, TransformerBlock};
 pub use blocks::{PatchEmbed, ResidualBlock, SqueezeExcite, TokenMeanPool};
 pub use conv_layer::Conv2d;
 pub use dense::Linear;
-pub use int_exec::{dynamic_act_scale, quantize_activations, IntExecWeight};
+pub use int_exec::IntExecWeight;
 pub use layer::{
     ActKind, Activation, AvgPool2d, Flatten, GlobalAvgPool, Layer, LayerClone, MaxPool2d,
     Sequential,

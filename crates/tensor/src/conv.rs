@@ -1,8 +1,10 @@
 //! 2-D convolution kernels (forward and backward) via im2col.
 //!
 //! Supports strides, symmetric zero padding, and grouped/depthwise
-//! convolution — everything the mini model zoo needs.
+//! convolution — everything the mini model zoo needs — in f32
+//! ([`conv2d_forward`]) and on integer levels ([`conv2d_forward_int`]).
 
+use crate::igemm::{self, PackedRows, RowQuantizer, Scales, ACT_LEVELS, STRIP};
 use crate::kernel;
 use crate::Tensor;
 use std::cell::RefCell;
@@ -15,6 +17,9 @@ thread_local! {
     /// shapes in the mini model zoo. Both buffers are fully overwritten
     /// before being read, so reuse never leaks data between calls.
     static FWD_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Integer-forward staging (one quantized padded image and one
+    /// activation scale per sample of a chunk), reused across calls.
+    static INT_SCRATCH: RefCell<(Vec<i16>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Grows `buf` if needed and hands back exactly `len` elements. Contents
@@ -84,6 +89,73 @@ unsafe fn zero_floats(dst: *mut f32, len: usize) {
         16 => dst.cast::<[f32; 16]>().write_unaligned([0.0; 16]),
         32 => dst.cast::<[f32; 32]>().write_unaligned([0.0; 32]),
         _ => std::ptr::write_bytes(dst, 0, len),
+    }
+}
+
+/// The implicit-im2col walk shared by the fused float conv and the
+/// integer conv: one (sample, group) slice staged into a zero-padded
+/// image (`cg` channels of `hp × wp`), plus one tap offset per
+/// column-matrix row, so that
+/// `col[r][(oy, ox)] = image[taps[r] + position(oy, ox)]`. The column
+/// matrix itself is never materialized.
+struct PaddedWalk {
+    cg: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    stride: usize,
+    hp: usize,
+    wp: usize,
+    taps: Vec<usize>,
+}
+
+impl PaddedWalk {
+    fn new(spec: &Conv2dSpec, cg: usize, h: usize, w: usize) -> Self {
+        let (k, pad) = (spec.kernel, spec.padding);
+        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+        let mut taps = Vec::with_capacity(cg * k * k);
+        for c in 0..cg {
+            for ky in 0..k {
+                for kx in 0..k {
+                    taps.push(c * hp * wp + ky * wp + kx);
+                }
+            }
+        }
+        Self {
+            cg,
+            h,
+            w,
+            pad,
+            stride: spec.stride,
+            hp,
+            wp,
+            taps,
+        }
+    }
+
+    /// Elements of one staged image.
+    fn image_len(&self) -> usize {
+        self.cg * self.hp * self.wp
+    }
+
+    /// Offset of output position `(oy, ox)`'s window within the image.
+    fn position(&self, oy: usize, ox: usize) -> usize {
+        (oy * self.wp + ox) * self.stride
+    }
+
+    /// Writes each channel's interior through `channel(src, dst)`: `src`
+    /// is the channel's `h` rows of `w`, `dst` starts at its first
+    /// interior pixel and takes row `iy` at `iy·wp`. The border is never
+    /// written, so a zeroed image stays zero-padded across restagings.
+    fn stage<S, D>(&self, src: &[S], image: &mut [D], mut channel: impl FnMut(&[S], &mut [D])) {
+        let (h, w) = (self.h, self.w);
+        for c in 0..self.cg {
+            let dst = (c * self.hp + self.pad) * self.wp + self.pad;
+            channel(
+                &src[c * h * w..(c + 1) * h * w],
+                &mut image[dst..dst + (h - 1) * self.wp + w],
+            );
+        }
     }
 }
 
@@ -173,9 +245,6 @@ impl Conv2dSpec {
 }
 
 /// Unfolds one sample's group-slice into a `[cg·k·k, ho·wo]` column matrix.
-///
-/// Public so higher crates can build their own GEMM-form convolutions
-/// (the integer execution path quantizes this matrix and runs int8 GEMM).
 #[allow(clippy::too_many_arguments)]
 pub fn im2col(
     input: &[f32],
@@ -344,14 +413,13 @@ fn col2im(
 /// (the same order as the scalar reference, with FMA rounding).
 #[cfg(target_arch = "x86_64")]
 mod fused {
-    use super::{copy_floats, Conv2dSpec, Tensor};
+    use super::{copy_floats, Conv2dSpec, PaddedWalk, Tensor};
     use std::arch::x86_64::*;
     use std::cell::RefCell;
 
     thread_local! {
-        /// Padded-image staging + offsets table, reused across calls.
-        static STAGE: RefCell<(Vec<f32>, Vec<usize>)> =
-            const { RefCell::new((Vec::new(), Vec::new())) };
+        /// Padded-image staging, reused across calls.
+        static STAGE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Whether [`run`] supports this geometry (caller has already checked
@@ -375,48 +443,29 @@ mod fused {
         ho: usize,
         wo: usize,
     ) {
-        let pad = spec.padding;
-        let k = spec.kernel;
         let g = spec.groups;
         let (cg, cg_out) = (cin / g, spec.out_channels / g);
-        let (hp, wp) = (h + 2 * pad, w + 2 * pad);
-        let kk = cg * k * k;
+        let walk = PaddedWalk::new(spec, cg, h, w);
+        let (wp, off) = (walk.wp, &walk.taps[..]);
+        let kk = off.len();
         let howo = ho * wo;
         STAGE.with(|stage| {
-            let mut stage = stage.borrow_mut();
-            let (padded, off) = &mut *stage;
+            let mut padded = stage.borrow_mut();
             padded.clear();
-            padded.resize(cg * hp * wp, 0.0);
-            off.clear();
-            off.reserve(kk);
-            for c in 0..cg {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        off.push(c * hp * wp + ky * wp + kx);
-                    }
-                }
-            }
+            padded.resize(walk.image_len(), 0.0);
             let wdat = weight.data();
             let indat = input.data();
             let od = out.data_mut();
             for s in 0..n {
                 for gi in 0..g {
-                    // Stage the group-slice; borders stay zero because
-                    // only interior rows are ever written.
-                    let src = &indat[(s * cin + gi * cg) * h * w..];
-                    for c in 0..cg {
-                        for iy in 0..h {
-                            // SAFETY: destination row `(iy+pad)` at column
-                            // `pad` leaves `pad` zeros on each side.
-                            unsafe {
-                                copy_floats(
-                                    src.as_ptr().add((c * h + iy) * w),
-                                    padded.as_mut_ptr().add(c * hp * wp + (iy + pad) * wp + pad),
-                                    w,
-                                );
-                            }
+                    let src = &indat[(s * cin + gi * cg) * h * w..][..cg * h * w];
+                    walk.stage(src, &mut padded, |rows, dst| {
+                        for (iy, row) in rows.chunks_exact(w).enumerate() {
+                            // SAFETY: `stage` hands over `h` source rows and
+                            // a destination holding `h` rows `wp` apart.
+                            unsafe { copy_floats(row.as_ptr(), dst.as_mut_ptr().add(iy * wp), w) }
                         }
-                    }
+                    });
                     let out_base = (s * spec.out_channels + gi * cg_out) * howo;
                     let mut oc = 0;
                     // SAFETY: AVX2+FMA availability is the caller's
@@ -427,13 +476,13 @@ mod fused {
                         while oc + 4 <= cg_out {
                             let wrow = wdat.as_ptr().add((gi * cg_out + oc) * kk);
                             let dst = od.as_mut_ptr().add(out_base + oc * howo);
-                            rows4(wrow, kk, padded, off, wp, ho, wo, dst, howo);
+                            rows4(wrow, kk, &padded, off, wp, ho, wo, dst, howo);
                             oc += 4;
                         }
                         while oc < cg_out {
                             let wrow = wdat.as_ptr().add((gi * cg_out + oc) * kk);
                             let dst = od.as_mut_ptr().add(out_base + oc * howo);
-                            rows1(wrow, kk, padded, off, wp, ho, wo, dst);
+                            rows1(wrow, kk, &padded, off, wp, ho, wo, dst);
                             oc += 1;
                         }
                     }
@@ -700,6 +749,297 @@ fn add_bias(out: &mut Tensor, bias: Option<&Tensor>, spec: &Conv2dSpec, n: usize
                     *o += bv;
                 }
             }
+        }
+    }
+}
+
+/// Integer convolution forward pass: the same result as an f32 im2col
+/// whose columns are quantized per (sample, group) to `±ACT_LEVELS` under
+/// their absmax scale, multiplied against `weight`'s levels with exact
+/// i32 accumulation, requantized by `a_scale · w_scale(oc)` and biased.
+///
+/// `input` is `[N, Cin, H, W]`; `weight` holds `[Cout, Cin/g·k·k]` levels
+/// with `w_scales` per tensor or per output channel. Each (sample, group)
+/// slice is quantized **once** into a zero-padded i16 image, and the
+/// microkernel's column panels are gathered straight from it through the
+/// same implicit-im2col walk as the fused float conv. The activation
+/// scale is the absmax over the pixels the conv reads, which is the whole
+/// slice except where the kernel skips pixels (kernel < stride, or an
+/// unpadded stride that leaves trailing rows/columns unread).
+///
+/// # Panics
+///
+/// Panics on any shape inconsistency with `spec`.
+pub fn conv2d_forward_int(
+    input: &Tensor,
+    weight: &PackedRows,
+    w_scales: Scales<'_>,
+    bias: Option<&Tensor>,
+    spec: &Conv2dSpec,
+) -> Tensor {
+    let (n, cin, h, w) = nchw(input);
+    assert_eq!(
+        cin, spec.in_channels,
+        "input channels {cin} != spec {}",
+        spec.in_channels
+    );
+    let (cout, g) = (spec.out_channels, spec.groups);
+    assert_eq!(
+        (weight.rows(), weight.k()),
+        (cout, spec.weight_numel() / cout),
+        "weight shape mismatch for {spec:?}"
+    );
+    if let Some(b) = bias {
+        assert_eq!(b.numel(), cout, "bias length mismatch");
+    }
+    let (ho, wo) = (spec.out_size(h), spec.out_size(w));
+    let howo = ho * wo;
+    let (cg_in, cg_out) = (cin / g, cout / g);
+    let walk = PaddedWalk::new(spec, cg_in, h, w);
+    let img_len = walk.image_len();
+    // Pixels some window reads, as an all-ones/zero word per pixel of a
+    // group slice; `None` when every pixel is read.
+    let (rows_read, cols_read) = (read_pixels(h, ho, spec), read_pixels(w, wo, spec));
+    let keep: Option<Vec<u32>> = (!(rows_read.iter().all(|&r| r) && cols_read.iter().all(|&c| c)))
+        .then(|| {
+            let plane = rows_read.iter().flat_map(|&r| {
+                cols_read
+                    .iter()
+                    .map(move |&c| if r && c { u32::MAX } else { 0 })
+            });
+            plane.cycle().take(cg_in * h * w).collect()
+        });
+    let bias = bias.map(Tensor::data);
+    let mut out = Tensor::zeros([n, cout, ho, wo]);
+    let od = out.data_mut();
+    // Samples run in chunks of whole strips (`chunk·howo` a multiple of
+    // STRIP) holding about 16 KiB of staged image, so quantize → pack →
+    // kernel → store stay cache-resident.
+    let whole = STRIP / gcd(howo, STRIP);
+    let chunk = ((16 * 1024 / (2 * img_len) / whole).max(1) * whole).min(n.max(1));
+    INT_SCRATCH.with(|scratch| {
+        let mut scratch = scratch.borrow_mut();
+        let (img, a_scales) = &mut *scratch;
+        img.clear();
+        img.resize(chunk * img_len, 0);
+        a_scales.resize(chunk, 0.0);
+        for gi in 0..g {
+            for s0 in (0..n).step_by(chunk) {
+                let sc = chunk.min(n - s0);
+                for s in 0..sc {
+                    let src =
+                        &input.data()[((s0 + s) * cin + gi * cg_in) * h * w..][..cg_in * h * w];
+                    let absmax = match &keep {
+                        None => igemm::absmax(src),
+                        Some(keep) => igemm::absmax_masked(src, keep),
+                    };
+                    let a_scale = absmax / ACT_LEVELS as f32;
+                    a_scales[s] = a_scale;
+                    let quantizer = RowQuantizer::new(a_scale, -ACT_LEVELS, ACT_LEVELS);
+                    walk.stage(
+                        src,
+                        &mut img[s * img_len..(s + 1) * img_len],
+                        |rows, dst| quantizer.rows(rows, w, dst, walk.wp),
+                    );
+                }
+                let img = &img[..];
+                let a_scales = &a_scales[..];
+                // Image offset of each strip position, advanced by a cursor
+                // (sample, oy, ox) instead of dividing per position.
+                let mut bases = [0usize; STRIP];
+                let (mut s, mut oy, mut ox) = (0, 0, 0);
+                igemm::for_each_strip(
+                    weight,
+                    gi * cg_out,
+                    cg_out,
+                    sc * howo,
+                    |_, count, panel| {
+                        for b in &mut bases[..count] {
+                            *b = s * img_len + walk.position(oy, ox);
+                            ox += 1;
+                            if ox == wo {
+                                (ox, oy) = (0, oy + 1);
+                                if oy == ho {
+                                    (oy, s) = (0, s + 1);
+                                }
+                            }
+                        }
+                        pack_image_panel(img, &walk.taps, &bases[..count], panel);
+                    },
+                    |p0, count, tile| {
+                        // The strip's sample segments: (tile offset,
+                        // length, sample in chunk, position in sample).
+                        let mut segs = [(0usize, 0usize, 0usize, 0usize); STRIP];
+                        let mut nseg = 0;
+                        let (mut s, mut q) = (p0 / howo, p0 % howo);
+                        let mut i = 0;
+                        while i < count {
+                            let len = (howo - q).min(count - i);
+                            segs[nseg] = (i, len, s, q);
+                            nseg += 1;
+                            (i, s, q) = (i + len, s + 1, 0);
+                        }
+                        for (r, acc) in tile.chunks_exact(STRIP).enumerate() {
+                            let oc = gi * cg_out + r;
+                            let (ws, b) = (w_scales.at(oc), bias.map(|b| b[oc]));
+                            // Requantize + bias straight into NCHW.
+                            for &(i, len, s, q) in &segs[..nseg] {
+                                let dst = ((s0 + s) * cout + oc) * howo + q;
+                                igemm::requantize_row(
+                                    &acc[i..i + len],
+                                    a_scales[s] * ws,
+                                    b,
+                                    &mut od[dst..dst + len],
+                                );
+                            }
+                        }
+                    },
+                );
+            }
+        }
+    });
+    out
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Which input indices along one axis some output position reads
+/// (`o·stride + t - padding` for `o < output`, `t < kernel`).
+fn read_pixels(input: usize, output: usize, spec: &Conv2dSpec) -> Vec<bool> {
+    let mut read = vec![false; input];
+    for o in 0..output {
+        for t in 0..spec.kernel {
+            let i = (o * spec.stride + t) as isize - spec.padding as isize;
+            if (0..input as isize).contains(&i) {
+                read[i as usize] = true;
+            }
+        }
+    }
+    read
+}
+
+/// Gathers one [`igemm::for_each_strip`] panel from staged images:
+/// `panel[(p·STRIP + i)·2 + h] = img[bases[i] + taps[2p + h]]` (0 past
+/// the last tap). Runs of 16 (AVX2), 8 or 4 positions whose windows are
+/// adjacent in the image (stride 1, one output row) move as one load per
+/// tap, interleaved pairwise; other positions are gathered one by one.
+/// Pure data movement, so every path yields the same panel.
+fn pack_image_panel(img: &[i16], taps: &[usize], bases: &[usize], panel: &mut [i16]) {
+    assert!(
+        bases.len() <= STRIP && panel.len() >= taps.len().div_ceil(2) * 2 * STRIP,
+        "panel too short"
+    );
+    let avx2 = matches!(kernel::active_backend(), crate::Backend::Avx2Fma);
+    let k2 = taps.len() / 2;
+    let last_tap = taps[taps.len() - 1];
+    let at = |p: usize, i: usize| (p * STRIP + i) * 2;
+    let n = bases.len();
+    let mut i = 0;
+    while i < n {
+        let b0 = bases[i];
+        // Bases strictly increase, so a run's ends pin every element.
+        #[cfg(target_arch = "x86_64")]
+        for run in [16, 8, 4] {
+            if (run < 16 || avx2) && i + run <= n && bases[i + run - 1] == b0 + run - 1 {
+                assert!(b0 + last_tap + run <= img.len(), "tap out of image");
+                let (src, dst) = (img.as_ptr(), panel.as_mut_ptr());
+                // SAFETY: SSE2 is baseline on x86_64 and `avx2` is set
+                // only under the Avx2Fma backend; every load reads `run`
+                // elements at `b0 + tap ≤ b0 + last_tap` (asserted in
+                // bounds) and every store writes `2·run` elements at
+                // `at(p, i)`, inside the panel as `i + run ≤ n ≤ STRIP`.
+                unsafe {
+                    if run == 16 {
+                        pack_run16_avx2(src.add(b0), taps, dst.add(at(0, i)))
+                    } else {
+                        pack_run_sse2(src.add(b0), taps, run, dst.add(at(0, i)))
+                    }
+                };
+                i += run;
+                break;
+            }
+        }
+        if i < n && bases[i] == b0 {
+            for p in 0..k2 {
+                panel[at(p, i)] = img[b0 + taps[2 * p]];
+                panel[at(p, i) + 1] = img[b0 + taps[2 * p + 1]];
+            }
+            if taps.len() % 2 == 1 {
+                panel[at(k2, i)] = img[b0 + last_tap];
+                panel[at(k2, i) + 1] = 0;
+            }
+            i += 1;
+        }
+    }
+}
+
+/// Sixteen adjacent positions of [`pack_image_panel`]: per k-pair, one
+/// 256-bit load per tap; `unpack{lo,hi}_epi16` interleave within 128-bit
+/// lanes and two lane permutes restore position order.
+///
+/// # Safety
+///
+/// Requires AVX2; `img` must be readable for `taps.last() + 16` elements
+/// and `dst` writable at `p·STRIP·2 .. + 32` for every k-pair `p`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pack_run16_avx2(img: *const i16, taps: &[usize], dst: *mut i16) {
+    use std::arch::x86_64::*;
+    let load = |tap: usize| _mm256_loadu_si256(img.add(tap).cast());
+    for (p, pair) in taps.chunks(2).enumerate() {
+        let lo = load(pair[0]);
+        let hi = pair.get(1).map_or(_mm256_setzero_si256(), |&t| load(t));
+        // Lanes hold positions [0-3 | 8-11] and [4-7 | 12-15].
+        let (a, b) = (_mm256_unpacklo_epi16(lo, hi), _mm256_unpackhi_epi16(lo, hi));
+        let d = dst.add(p * STRIP * 2);
+        _mm256_storeu_si256(d.cast(), _mm256_permute2x128_si256(a, b, 0x20));
+        _mm256_storeu_si256(d.add(16).cast(), _mm256_permute2x128_si256(a, b, 0x31));
+    }
+}
+
+/// `run ∈ {4, 8}` adjacent positions of [`pack_image_panel`]: per k-pair,
+/// one load per tap, interleaved by `unpack{lo,hi}_epi16`.
+///
+/// # Safety
+///
+/// `img` must be readable for `taps.last() + run` elements and `dst`
+/// writable at `p·STRIP·2 .. + 2·run` for every k-pair `p`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pack_run_sse2(img: *const i16, taps: &[usize], run: usize, dst: *mut i16) {
+    use std::arch::x86_64::*;
+    let k2 = taps.len() / 2;
+    let odd = taps.len() % 2 == 1;
+    if run == 8 {
+        for p in 0..k2 {
+            let lo = _mm_loadu_si128(img.add(*taps.get_unchecked(2 * p)).cast());
+            let hi = _mm_loadu_si128(img.add(*taps.get_unchecked(2 * p + 1)).cast());
+            let d = dst.add(p * STRIP * 2);
+            _mm_storeu_si128(d.cast(), _mm_unpacklo_epi16(lo, hi));
+            _mm_storeu_si128(d.add(8).cast(), _mm_unpackhi_epi16(lo, hi));
+        }
+        if odd {
+            let lo = _mm_loadu_si128(img.add(taps[2 * k2]).cast());
+            let d = dst.add(k2 * STRIP * 2);
+            _mm_storeu_si128(d.cast(), _mm_unpacklo_epi16(lo, _mm_setzero_si128()));
+            _mm_storeu_si128(d.add(8).cast(), _mm_unpackhi_epi16(lo, _mm_setzero_si128()));
+        }
+    } else {
+        for p in 0..k2 {
+            let lo = _mm_loadl_epi64(img.add(*taps.get_unchecked(2 * p)).cast());
+            let hi = _mm_loadl_epi64(img.add(*taps.get_unchecked(2 * p + 1)).cast());
+            _mm_storeu_si128(dst.add(p * STRIP * 2).cast(), _mm_unpacklo_epi16(lo, hi));
+        }
+        if odd {
+            let lo = _mm_loadl_epi64(img.add(taps[2 * k2]).cast());
+            let d = dst.add(k2 * STRIP * 2);
+            _mm_storeu_si128(d.cast(), _mm_unpacklo_epi16(lo, _mm_setzero_si128()));
         }
     }
 }
